@@ -44,10 +44,6 @@ from . import oracle as oracle_mod
 from . import fock as fock_mod
 
 
-def _frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _frac_list(text: str) -> list[Fraction]:
     text = text.strip()
     if not text:
@@ -472,15 +468,9 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    import os
-
     p = argparse.ArgumentParser(prog="taukit", description=__doc__)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--manifest", help="write a run manifest (config + digest) to this file")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("TAUKIT_THREADS", "1")),
-                   help="worker cap (default from TAUKIT_THREADS); results are "
-                        "independent of this value")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("tau", help="truncated tau series")

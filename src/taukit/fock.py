@@ -292,10 +292,6 @@ def _accum(d: dict, st: FockState, val):
         d[st] = s
 
 
-def apply_operator(op: FockOperator, v: FockVector) -> FockVector:
-    return op.apply(v)
-
-
 # -- polynomial families ----------------------------------------------------
 
 

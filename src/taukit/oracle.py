@@ -21,16 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate
 
 from .partitions import Partition
-from .symfun import Poly1, _as_fraction
-from .weights import ContentFunction, pochhammer
+from .symfun import Poly1, _as_fraction, schur_from_eigenvalues
+from .weights import ContentFunction, hook_product, pochhammer
 
 BLOCK = 1000  # samples per RNG stream; part of the determinism contract
+ZERO_VARIANCE_RTOL = 1e-12  # verdict tolerance for an estimate with std_error 0
 
 
 class RngStream:
@@ -50,28 +51,28 @@ class MCEstimate:
     std_error: float
     samples: int
 
+    def _constant_matches(self, exact: float) -> bool:
+        # a constant average (std_error 0) carries only rounding error
+        return abs(self.mean - exact) <= ZERO_VARIANCE_RTOL * max(1.0, abs(exact))
+
     def within_sigma(self, exact: float, sigma: float = 3.0) -> bool:
         if self.std_error == 0.0:
-            return abs(self.mean - exact) == 0.0
+            return self._constant_matches(exact)
         return abs(self.mean - exact) <= sigma * self.std_error
 
     def z_score(self, exact: float) -> float:
         if self.std_error == 0.0:
-            return 0.0 if self.mean == exact else math.inf
+            return 0.0 if self._constant_matches(exact) else math.inf
         return (self.mean - exact) / self.std_error
 
 
 def sample_haar_unitary(n: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix with the
-    phases of the R diagonal normalized."""
-    z = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q
+    return sample_haar_unitary_batch(n, 1, gen)[0]
 
 
 def sample_haar_unitary_batch(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitaries via QR of complex Ginibre matrices with the
+    phases of the R diagonal normalized."""
     z = (gen.standard_normal((count, n, n)) + 1j * gen.standard_normal((count, n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -132,6 +133,68 @@ def _blocked_mean(values_fn, samples: int, seed: int) -> MCEstimate:
     return MCEstimate(mean, math.sqrt(var / count), count)
 
 
+def _mc_schur_identity(
+    kind: str,
+    sample: Callable[[int, int, np.random.Generator], np.ndarray],
+    norm: Callable[[Partition, int], Fraction],
+    lam: Partition,
+    A: Sequence,
+    B: Sequence,
+    n: int,
+    samples: int,
+    seed: int,
+    mu: Optional[Partition],
+    sigma: float,
+) -> dict:
+    """The one Monte Carlo check behind both ensembles.
+
+    ``sample(n, count, gen)`` draws a stack of n x n matrices X and
+    ``norm(lam, n)`` is the exact-side factor c_lambda of
+
+    mu is None:  E[s_lambda(A X B X^+)] = c_lambda s_lambda(A) s_lambda(B)
+    mu given:    E[s_lambda(A X) s_mu(X^+ B)] = delta c_lambda s_lambda(A B)
+    """
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2 (got {samples})")
+    if len(A) != n or len(B) != n:
+        raise ValueError(f"A and B need n = {n} entries each (got {len(A)} and {len(B)})")
+    if lam.length > n:
+        raise ValueError("need l(lambda) <= n")
+    if mu is not None and mu.length > n:
+        raise ValueError("need l(mu) <= n")
+    Ad = np.diag(np.array([float(a) for a in A], dtype=complex))
+    Bd = np.diag(np.array([float(b) for b in B], dtype=complex))
+    if mu is None:
+        exact = norm(lam, n) * schur_from_eigenvalues(lam, A) * schur_from_eigenvalues(lam, B)
+    elif lam == mu:
+        exact = norm(lam, n) * schur_from_eigenvalues(lam, [a * b for a, b in zip(A, B)])
+    else:
+        exact = Fraction(0)
+
+    def values(count, gen):
+        X = sample(n, count, gen)
+        Xh = np.conjugate(np.transpose(X, (0, 2, 1)))
+        if mu is None:
+            return np.real(schur_of_matrix(lam, Ad @ X @ Bd @ Xh))
+        return np.real(schur_of_matrix(lam, Ad @ X) * schur_of_matrix(mu, Xh @ Bd))
+
+    est = _blocked_mean(values, samples, seed)
+    exact_f = float(exact)
+    return {
+        "kind": kind,
+        "lambda": str(lam),
+        "mu": str(mu) if mu is not None else None,
+        "estimate": est.mean,
+        "std_error": est.std_error,
+        "samples": est.samples,
+        "exact": f"{exact.numerator}/{exact.denominator}",
+        "exact_float": exact_f,
+        "z": est.z_score(exact_f),
+        "sigma": sigma,
+        "pass": est.within_sigma(exact_f, sigma),
+    }
+
+
 def mc_schur_unitary_identity(
     lam: Partition,
     A: Sequence,
@@ -142,48 +205,15 @@ def mc_schur_unitary_identity(
     mu: Optional[Partition] = None,
     sigma: float = 3.0,
 ) -> dict:
-    """MC check of the unitary group averages.
+    """MC check of the unitary group averages (X = U Haar, X^+ = U^-1):
 
     mu is None:  E[s_lambda(A U B U^-1)] = s_lambda(A) s_lambda(B) / s_lambda(I_n)
     mu given:    E[s_lambda(A U) s_mu(U^-1 B)] = delta s_lambda(A B)/s_lambda(I_n)
     """
-    from .symfun import schur_from_eigenvalues
+    def norm(lam, n):
+        return 1 / schur_from_eigenvalues(lam, [Fraction(1)] * n)
 
-    if lam.length > n:
-        raise ValueError("need l(lambda) <= n")
-    Ad = np.diag(np.array([float(a) for a in A], dtype=complex))
-    Bd = np.diag(np.array([float(b) for b in B], dtype=complex))
-    if mu is None:
-        exact = (
-            schur_from_eigenvalues(lam, list(A))
-            * schur_from_eigenvalues(lam, list(B))
-            / schur_from_eigenvalues(lam, [Fraction(1)] * n)
-        )
-
-        def values(count, gen):
-            U = sample_haar_unitary_batch(n, count, gen)
-            Uh = np.conjugate(np.transpose(U, (0, 2, 1)))
-            M = Ad @ U @ Bd @ Uh
-            return np.real(schur_of_matrix(lam, M))
-
-    else:
-        AB = [a * b for a, b in zip(A, B)]
-        exact = (
-            schur_from_eigenvalues(lam, AB)
-            / schur_from_eigenvalues(lam, [Fraction(1)] * n)
-            if lam == mu
-            else Fraction(0)
-        )
-
-        def values(count, gen):
-            U = sample_haar_unitary_batch(n, count, gen)
-            Uh = np.conjugate(np.transpose(U, (0, 2, 1)))
-            return np.real(
-                schur_of_matrix(lam, Ad @ U) * schur_of_matrix(mu, Uh @ Bd)
-            )
-
-    est = _blocked_mean(values, samples, seed)
-    return _mc_report("unitary", lam, mu, est, exact, sigma)
+    return _mc_schur_identity("unitary", sample_haar_unitary_batch, norm, lam, A, B, n, samples, seed, mu, sigma)
 
 
 def mc_schur_ginibre_identity(
@@ -196,63 +226,15 @@ def mc_schur_ginibre_identity(
     mu: Optional[Partition] = None,
     sigma: float = 3.0,
 ) -> dict:
-    """MC check of the complex Gaussian averages.
+    """MC check of the complex Gaussian averages (X = Z Ginibre):
 
     mu is None:  E[s_lambda(A Z B Z^+)] = H_lambda s_lambda(A) s_lambda(B)
     mu given:    E[s_lambda(A Z) s_mu(Z^+ B)] = delta H_lambda s_lambda(A B)
     """
-    from .symfun import schur_from_eigenvalues
-    from .weights import hook_product
+    def norm(lam, n):
+        return Fraction(hook_product(lam))
 
-    if lam.length > n:
-        raise ValueError("need l(lambda) <= n")
-    Ad = np.diag(np.array([float(a) for a in A], dtype=complex))
-    Bd = np.diag(np.array([float(b) for b in B], dtype=complex))
-    H = hook_product(lam)
-    if mu is None:
-        exact = (
-            Fraction(H)
-            * schur_from_eigenvalues(lam, list(A))
-            * schur_from_eigenvalues(lam, list(B))
-        )
-
-        def values(count, gen):
-            Z = sample_ginibre_batch(n, count, gen)
-            Zh = np.conjugate(np.transpose(Z, (0, 2, 1)))
-            return np.real(schur_of_matrix(lam, Ad @ Z @ Bd @ Zh))
-
-    else:
-        AB = [a * b for a, b in zip(A, B)]
-        exact = (
-            Fraction(H) * schur_from_eigenvalues(lam, AB) if lam == mu else Fraction(0)
-        )
-
-        def values(count, gen):
-            Z = sample_ginibre_batch(n, count, gen)
-            Zh = np.conjugate(np.transpose(Z, (0, 2, 1)))
-            return np.real(
-                schur_of_matrix(lam, Ad @ Z) * schur_of_matrix(mu, Zh @ Bd)
-            )
-
-    est = _blocked_mean(values, samples, seed)
-    return _mc_report("ginibre", lam, mu, est, exact, sigma)
-
-
-def _mc_report(kind: str, lam, mu, est: MCEstimate, exact, sigma: float = 3.0) -> dict:
-    exact_f = float(exact)
-    return {
-        "kind": kind,
-        "lambda": str(lam),
-        "mu": str(mu) if mu is not None else None,
-        "estimate": est.mean,
-        "std_error": est.std_error,
-        "samples": est.samples,
-        "exact": f"{_as_fraction(exact).numerator}/{_as_fraction(exact).denominator}",
-        "exact_float": exact_f,
-        "z": est.z_score(exact_f),
-        "sigma": sigma,
-        "pass": est.within_sigma(exact_f, sigma),
-    }
+    return _mc_schur_identity("ginibre", sample_ginibre_batch, norm, lam, A, B, n, samples, seed, mu, sigma)
 
 
 # -- exact Wick pairing oracle ------------------------------------------------

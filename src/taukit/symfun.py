@@ -522,10 +522,6 @@ def skew_schur(shape, t: Times, hs: Optional[list] = None) -> object:
     return _det(rows)
 
 
-class DegenerateEigenvaluesError(ValueError):
-    """Bialternant denominator vanished (repeated eigenvalues)."""
-
-
 def schur_from_eigenvalues(lam: Partition, xs: Sequence) -> Fraction:
     """s_lambda(x_1..x_n) as the bialternant ratio of determinants.
 
@@ -548,8 +544,6 @@ def schur_from_eigenvalues(lam: Partition, xs: Sequence) -> Fraction:
     for i in range(n):
         for j in range(i + 1, n):
             den *= xs[i] - xs[j]
-    if den == 0:
-        raise DegenerateEigenvaluesError(str(xs))
     return _det(num_rows) / den
 
 
@@ -601,18 +595,23 @@ def cauchy_truncated(D: int, K: Optional[int] = None) -> tuple[PolySeries, PolyS
             s = tring.const(s)
         if s.is_zero():
             continue
-        rhs = rhs + _embed_product(ring, K, s, s)
+        rhs = rhs + _cross(ring, K, s, s)
     return lhs, rhs
 
 
-def _embed_product(ring: PolyRing, K: int, st, su) -> PolySeries:
-    """Embed s(t) * s(t*) from the t-only ring into the bivariate ring."""
+def _cross(ring: PolyRing, ring_K: int, st: PolySeries, su: PolySeries) -> PolySeries:
+    """st(t) * su(t*) embedded into the bivariate ring (u = upper block),
+    each factor's exponents zero-padded to the block width ring_K."""
+    ts = [(tuple(e) + (0,) * (ring_K - len(e)), c) for e, c in st.terms.items()]
+    us = [(tuple(e) + (0,) * (ring_K - len(e)), c) for e, c in su.terms.items()]
     out: dict = {}
-    for et, ct in st.terms.items():
-        for eu, cu in su.terms.items():
-            e = tuple(et) + tuple(eu)
+    for et, ct in ts:
+        for eu, cu in us:
+            e = et + eu
+            if ring.degree_of(e) > ring.cap:
+                continue
             c = ct * cu
-            if ring.degree_of(e) <= ring.cap and c:
+            if c:
                 out[e] = out.get(e, Fraction(0)) + c
     return PolySeries(ring, out)
 

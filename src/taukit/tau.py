@@ -23,6 +23,8 @@ from .symfun import (
     PolySeries,
     Times,
     _as_fraction,
+    _cross,
+    _det,
     h_list,
     miwa,
     schur,
@@ -205,21 +207,6 @@ class TauSeries:
         return {
             str(lam): f"{c.numerator}/{c.denominator}" for lam, c in self.items()
         }
-
-
-def _cross(ring: PolyRing, ring_K: int, st: PolySeries, su: PolySeries) -> PolySeries:
-    """st(t) * su(t*) embedded into the bivariate ring (u = upper block)."""
-    out: dict = {}
-    for et, ct in st.terms.items():
-        pt = tuple(et) + (0,) * (ring_K - len(et))
-        for eu, cu in su.terms.items():
-            e = pt + tuple(eu) + (0,) * (ring_K - len(eu))
-            if ring.degree_of(e) > ring.cap:
-                continue
-            c = ct * cu
-            if c:
-                out[e] = out.get(e, Fraction(0)) + c
-    return PolySeries(ring, out)
 
 
 def _truncation_bounds(r: ContentFunction, n: int, D: int, lmax: int, cmax: int):
@@ -433,12 +420,6 @@ def _vandermonde(ring: PolyRing, idx: Sequence[int]) -> PolySeries:
     return out
 
 
-def _det_poly(rows: list[list[PolySeries]]) -> PolySeries:
-    from .symfun import _det
-
-    return _det(rows)
-
-
 def det_rep_one_side(
     r: ContentFunction, M: int, N: int, uside: Side, D: int
 ) -> DetRepResult:
@@ -490,7 +471,7 @@ def det_rep_one_side(
                 acc = acc + (xs[i] ** j) * cj
             row.append((xs[i] ** (N - k)) * acc)
         rows.append(row)
-    rhs = _det_poly(rows)
+    rhs = _det(rows)
     return DetRepResult(lhs, rhs, cap, Fraction(1))
 
 
@@ -563,7 +544,7 @@ def det_rep_two_side(r: ContentFunction, M: int, N: int, D: int) -> DetRepResult
             row.append(acc)
         rows.append(row)
     pref = det_two_side_prefactor(r, M, N)
-    rhs = _det_poly(rows) * pref
+    rhs = _det(rows) * pref
     return DetRepResult(lhs, rhs, cap, pref)
 
 
@@ -606,7 +587,7 @@ def det_rep_derivatives(r: ContentFunction, n: int, D: int) -> DetRepResult:
                 ent = ent.diff(J)
             row.append(ent)
         rows.append(row)
-    rhs = _det_poly(rows) * deriv_det_prefactor(r, n)
+    rhs = _det(rows) * deriv_det_prefactor(r, n)
     lhs = tau_series(TauSpec(r, n, Formal(), Formal()), D).as_polyseries(ring)
     lhs = _bidegree_filter(lhs, J, D)
     rhs = _bidegree_filter(rhs, J, D)

@@ -345,64 +345,35 @@ def c_constant(r: ContentFunction, n: int) -> Fraction:
     return out
 
 
-def rational_r_decomposition(
-    r: RationalContent, n: int, lam: Partition, K: Optional[int] = None
-) -> dict:
-    """Factor r_lambda(n) into Schur evaluations at t(a_i+n), t(b_j+n), t_inf.
+def rational_r_decomposition(r: ContentFunction, n: int, lam: Partition, K: Optional[int] = None) -> dict:
+    """Factor r_lambda(n) into Schur evaluations at special points:
+    t(a_i+n), t(b_j+n) and t_inf for a RationalContent, gamma(a_i+n,q),
+    gamma(b_j+n,q) and gamma(inf,q) for a QRationalContent.
 
     Returns the factorization data and the reassembled value; raises if the
     reassembled value disagrees with the direct content product.
     """
-    if not isinstance(r, RationalContent):
-        raise TypeError("rational_r_decomposition needs a RationalContent")
     K = K if K is not None else max(lam.weight, 1)
-    s_inf = schur(lam, Times.exp_point(K))
-    num = [schur(lam, Times.weight_a(ai + n, K)) for ai in r.a]
-    den = [schur(lam, Times.weight_a(bj + n, K)) for bj in r.b]
+    if isinstance(r, RationalContent):
+        inf_point, point = Times.exp_point(K), (lambda c: Times.weight_a(c, K))
+    elif isinstance(r, QRationalContent):
+        inf_point, point = Times.q_geometric(r.q, K), (lambda c: Times.q_weight_a(c, r.q, K))
+    else:
+        raise TypeError("rational_r_decomposition needs a RationalContent or QRationalContent")
+    s_inf = schur(lam, inf_point)
+    num = [schur(lam, point(ai + n)) for ai in r.a]
+    den = [schur(lam, point(bj + n)) for bj in r.b]
     p, s = len(r.a), len(r.b)
     value = _as_fraction(s_inf) ** (s - p)
     for v in num:
         value *= v
     for v in den:
         if v == 0:
-            raise ContentPoleError(f"s_lambda(t(b+n)) vanished for {lam}")
+            raise ContentPoleError(f"s_lambda at the point b+n vanished for {lam}")
         value /= v
     direct = content_product(r, n, lam)
     if value != direct:
-        raise AssertionError(
-            f"decomposition mismatch for {lam}: {value} != {direct}"
-        )
-    return {
-        "s_inf_power": s - p,
-        "s_inf": s_inf,
-        "numerators": num,
-        "denominators": den,
-        "value": value,
-    }
-
-
-def q_rational_r_decomposition(
-    r: QRationalContent, n: int, lam: Partition, K: Optional[int] = None
-) -> dict:
-    """q-analogue: r_lambda(n) = s_inf(q)^(s-p) * prod s(gamma(a+n,q)) / prod s(gamma(b+n,q))."""
-    K = K if K is not None else max(lam.weight, 1)
-    q = r.q
-    s_inf = schur(lam, Times.q_geometric(q, K))
-    num = [schur(lam, Times.q_weight_a(ai + n, q, K)) for ai in r.a]
-    den = [schur(lam, Times.q_weight_a(bj + n, q, K)) for bj in r.b]
-    p, s = len(r.a), len(r.b)
-    value = _as_fraction(s_inf) ** (s - p)
-    for v in num:
-        value *= v
-    for v in den:
-        if v == 0:
-            raise ContentPoleError(f"s_lambda(gamma(b+n,q)) vanished for {lam}")
-        value /= v
-    direct = content_product(r, n, lam)
-    if value != direct:
-        raise AssertionError(
-            f"q-decomposition mismatch for {lam}: {value} != {direct}"
-        )
+        raise AssertionError(f"decomposition mismatch for {lam}: {value} != {direct}")
     return {
         "s_inf_power": s - p,
         "s_inf": s_inf,

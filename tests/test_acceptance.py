@@ -23,7 +23,6 @@ from taukit.weights import (
     hook_product_q,
     pochhammer_partition,
     q_pochhammer_partition,
-    q_rational_r_decomposition,
     rational_r_decomposition,
 )
 from taukit.tau import (
@@ -242,7 +241,7 @@ def test_criterion_10_rational_r_lemmas():
     ok = True
     for lam in enumerate_partitions(6):
         rational_r_decomposition(r, 1, lam)  # raises on mismatch
-        q_rational_r_decomposition(rq, 1, lam)
+        rational_r_decomposition(rq, 1, lam)
         # Pochhammer symbols: row definition vs cell product
         ok = ok and q_pochhammer_partition(2, q, lam) == content_product(
             QRationalContent(a=[2], q=q), 0, lam

@@ -91,6 +91,13 @@ def test_usage_error_exit_two(capsys):
     assert code == 2
 
 
+def test_oracle_mc_bad_input_exit_two(capsys):
+    code = main(["oracle", "unitary-mc", "--samples", "0"])
+    assert code == 2 and "samples" in capsys.readouterr().err
+    code = main(["oracle", "ginibre", "--A", "1,1/2,1/4"])
+    assert code == 2 and "A and B" in capsys.readouterr().err
+
+
 def test_csv_format(capsys):
     code, out = run_cli(
         capsys, "--format", "csv", "hyper", "pfs", "--a", "", "--b", "", "--x", "1", "--deg", "2"

@@ -186,3 +186,82 @@ def test_mc_estimate_helpers():
     assert est.within_sigma(1.2, 3.0)
     assert not est.within_sigma(1.5, 3.0)
     assert est.z_score(0.9) == pytest.approx(1.0)
+    # a constant estimate that misses by more than rounding still fails
+    const = MCEstimate(mean=1 / 6 + 1e-6, std_error=0.0, samples=5000)
+    assert not const.within_sigma(1 / 6)
+    assert const.z_score(1 / 6) == math.inf
+
+
+MC_FUNCTIONS = {"unitary": mc_schur_unitary_identity, "ginibre": mc_schur_ginibre_identity}
+
+
+@pytest.mark.parametrize("fn", MC_FUNCTIONS.values(), ids=MC_FUNCTIONS)
+def test_mc_rejects_too_few_samples(fn):
+    for samples in (0, 1):
+        with pytest.raises(ValueError, match="samples"):
+            fn(Partition([1]), A2, B2, 2, samples)
+
+
+@pytest.mark.parametrize("fn", MC_FUNCTIONS.values(), ids=MC_FUNCTIONS)
+def test_mc_rejects_diagonal_of_wrong_length(fn):
+    with pytest.raises(ValueError, match="A and B"):
+        fn(Partition([1]), A2 + [F(1, 4)], B2, 2, 100)
+    with pytest.raises(ValueError, match="A and B"):
+        fn(Partition([1]), A2, B2[:1], 2, 100)
+
+
+@pytest.mark.parametrize("fn", MC_FUNCTIONS.values(), ids=MC_FUNCTIONS)
+def test_mc_rejects_long_mu(fn):
+    with pytest.raises(ValueError, match="mu"):
+        fn(Partition([1]), A2, B2, 2, 100, mu=Partition([1, 1, 1]))
+
+
+def test_mc_zero_variance_verdict():
+    # s_11(A U) s_11(U^-1 B) = det A det B at n = 2: every sample is the same
+    # number up to rounding, so std_error is 0 and only rounding separates
+    # the estimate from 1/6
+    for seed in (7, 13, 23, 24):
+        rep = mc_schur_unitary_identity(Partition([1, 1]), A2, B2, 2, 5000, seed=seed, mu=Partition([1, 1]))
+        assert rep["std_error"] == 0.0
+        assert rep["estimate"] != rep["exact_float"]
+        assert rep["pass"] and rep["z"] == 0.0
+
+
+# float.hex of (estimate, std_error) for 4321 samples at seed 5: pins the
+# determinism contract (SeedSequence(seed, block), blocks merged in order)
+MC_GOLDEN = [
+    ("unitary", [1], None, 2, "0x1.00f19400cf89bp+0", "0x1.80c1b56637941p-10"),
+    ("unitary", [1], None, 3, "0x1.c98c9a1342c1bp-1", "0x1.cf7f15cd92050p-10"),
+    ("unitary", [2], None, 2, "0x1.b336d5ebb64efp-1", "0x1.8196257e30401p-9"),
+    ("unitary", [2], None, 3, "0x1.463cd1099fe59p-1", "0x1.88018b57b12c4p-9"),
+    ("unitary", [1, 1], None, 2, "0x1.5555555555554p-3", "0x1.f27dd6497b553p-36"),
+    ("unitary", [1, 1], None, 3, "0x1.6645813be1550p-3", "0x1.1e7357206d0a9p-12"),
+    ("unitary", [1], [1], 2, "0x1.2e300fabdbc82p-1", "0x1.db87e083b2733p-8"),
+    ("unitary", [1], [1], 3, "0x1.9ce277e9083d4p-2", "0x1.5dc2cff191f43p-8"),
+    ("unitary", [2], [2], 2, "0x1.9dc3a704cb667p-2", "0x1.aba17e3b70e75p-8"),
+    ("unitary", [2], [2], 3, "0x1.ae97ee2c9ff1ap-3", "0x1.0210c7c2a0cbbp-8"),
+    ("unitary", [2], [1, 1], 2, "0x1.6151fd850096dp-11", "0x1.86bd344daf855p-9"),
+    ("unitary", [2], [1, 1], 3, "-0x1.f9d6aed2eae12p-12", "0x1.b518c42faf4e8p-10"),
+    ("ginibre", [1], None, 2, "0x1.01033b5c1a151p+1", "0x1.239f530cfb974p-6"),
+    ("ginibre", [1], None, 3, "0x1.55edf038ac338p+1", "0x1.3071cf0528085p-6"),
+    ("ginibre", [2], None, 2, "0x1.457176ee8c614p+2", "0x1.b01a88386b415p-4"),
+    ("ginibre", [2], None, 3, "0x1.e43d422fa301bp+2", "0x1.fdbff60c7c7bdp-4"),
+    ("ginibre", [1, 1], None, 2, "0x1.432d2320f4af9p-2", "0x1.a865be6536f4fp-8"),
+    ("ginibre", [1, 1], None, 3, "0x1.0fcbddcc56f61p+0", "0x1.ba9fd86b38602p-7"),
+    ("ginibre", [1], [1], 2, "0x1.307efb6ffb152p+0", "0x1.226d6a527c3acp-6"),
+    ("ginibre", [1], [1], 3, "0x1.35f6bcdb2d53fp+0", "0x1.3412eaf4e8e7ap-6"),
+    ("ginibre", [2], [2], 2, "0x1.34e9874637cbap+1", "0x1.2f87d622edcdfp-4"),
+    ("ginibre", [2], [2], 3, "0x1.426ae90ac60c8p+1", "0x1.4c4e448da2a2bp-4"),
+    ("ginibre", [2], [1, 1], 2, "0x1.d84659faa1e26p-7", "0x1.9cd32f1ca3465p-7"),
+    ("ginibre", [2], [1, 1], 3, "0x1.64806139c76abp-11", "0x1.1edfd680d5174p-6"),
+]
+
+
+def test_mc_golden_floats():
+    diagonals = {2: (A2, B2), 3: (A2 + [F(1, 4)], B2 + [F(1, 5)])}
+    for kind, lam, mu, n, estimate, std_error in MC_GOLDEN:
+        A, B = diagonals[n]
+        rep = MC_FUNCTIONS[kind](
+            Partition(lam), A, B, n, 4321, seed=5, mu=None if mu is None else Partition(mu)
+        )
+        assert (float.hex(rep["estimate"]), float.hex(rep["std_error"])) == (estimate, std_error), (kind, lam, mu, n)

@@ -22,7 +22,6 @@ from taukit.weights import (
     pochhammer_partition,
     q_pochhammer,
     q_pochhammer_partition,
-    q_rational_r_decomposition,
     rational_r_decomposition,
     skew_content_product,
     weight_table,
@@ -109,8 +108,13 @@ def test_rational_decomposition():
 def test_q_rational_decomposition():
     rq = QRationalContent(a=[1, 3], b=[5], q=F(1, 3))
     for lam in enumerate_partitions(6):
-        rep = q_rational_r_decomposition(rq, 1, lam)
+        rep = rational_r_decomposition(rq, 1, lam)
         assert rep["value"] == content_product(rq, 1, lam)
+
+
+def test_decomposition_rejects_other_content():
+    with pytest.raises(TypeError):
+        rational_r_decomposition(LinearContent(), 1, Partition([2]))
 
 
 def test_limit_degenerations():
