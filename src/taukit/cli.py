@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .partitions import Partition, enumerate_partitions
-from .symfun import Times, cauchy_truncated
+from .symfun import Times, _num_den, cauchy_truncated
 from .tau import (
     Eigs,
     Formal,
@@ -56,11 +56,6 @@ def _int_list(text: str) -> list[int]:
     if not text:
         return []
     return [int(tok) for tok in text.split(",")]
-
-
-def _fmt(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_side(spec: str):
@@ -140,7 +135,7 @@ def cmd_hyper_pfs(args) -> int:
         xs = _frac_list(args.x)
         ts = hyper_pfs(_frac_list(args.a), _frac_list(args.b), args.m, Eigs(xs), args.deg)
         if len(xs) == 1 and xs[0] == 1:
-            coeffs = {str(d): _fmt(c) for d, c in enumerate(ts.one_variable_coeffs())}
+            coeffs = {str(d): _num_den(c) for d, c in enumerate(ts.one_variable_coeffs())}
         else:
             coeffs = ts.to_json()
     else:
@@ -199,8 +194,8 @@ def cmd_model(args) -> int:
         rep = models_mod.normal_matrix_map(u, args.deg)
         _emit(args, {
             "model": "normal-matrix",
-            "r_table": {str(k): _fmt(v) for k, v in sorted(rep["r_table"].items())},
-            "h_moments": [_fmt(h) for h in rep["h_moments"]],
+            "r_table": {str(k): _num_den(v) for k, v in sorted(rep["r_table"].items())},
+            "h_moments": [_num_den(h) for h in rep["h_moments"]],
         })
         return 0
     if which == "gw":
@@ -222,7 +217,7 @@ def cmd_model(args) -> int:
     if which == "loop":
         gs = [parse_content(s) for s in args.g]
         vals = models_mod.loop_scalar_product(gs, args.n, args.deg)
-        _emit(args, {"model": "loop", "graded_trace": [_fmt(v) for v in vals]})
+        _emit(args, {"model": "loop", "graded_trace": [_num_den(v) for v in vals]})
         return 0
     raise ValueError(which)
 
@@ -287,7 +282,7 @@ def cmd_fock(args) -> int:
                 start=Fraction(0),
             )
             if got[d] != direct:
-                failures.append({"degree": d, "fock": _fmt(got[d]), "weights": _fmt(direct)})
+                failures.append({"degree": d, "fock": _num_den(got[d]), "weights": _num_den(direct)})
     else:
         raise ValueError(suite)
     report["pass"] = not failures
@@ -324,7 +319,7 @@ def cmd_oracle(args) -> int:
         _emit(args, {
             "oracle": "wick",
             "powers": args.powers,
-            "N_polynomial": [_fmt(c) for c in poly.coeffs],
+            "N_polynomial": [_num_den(c) for c in poly.coeffs],
             "note": "multiply by (N g)^(-sum/2) for the quartic propagator",
         })
         return 0

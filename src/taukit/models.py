@@ -21,6 +21,7 @@ from .symfun import (
     Poly1,
     Times,
     _as_fraction,
+    _num_den,
     exp_series,
     h_list,
     schur,
@@ -109,11 +110,14 @@ def two_matrix_vs_closed(D: int) -> bool:
 # -- quartic Hermitian one-matrix model ---------------------------------------
 
 
+def _single_slot(slot: int) -> Times:
+    """The times with t_slot = 1 and every other time zero."""
+    return Times.of([0] * (slot - 1) + [1])
+
+
 def schur_single_slot(lam: Partition, slot: int) -> Fraction:
     """s_lambda(t) with t_slot = 1 and every other time zero."""
-    entries = [Fraction(0)] * slot
-    entries[slot - 1] = Fraction(1)
-    return schur(lam, Times.of(entries))
+    return schur(lam, _single_slot(slot))
 
 
 def pochhammer_poly(lam: Partition) -> Poly1:
@@ -162,7 +166,7 @@ class ModelSeries:
 
     def to_json(self) -> dict:
         return {
-            str(k): [f"{c.numerator}/{c.denominator}" for c in p.coeffs]
+            str(k): [_num_den(c) for c in p.coeffs]
             for k, p in enumerate(self.orders)
         }
 
@@ -178,14 +182,15 @@ def quartic_series(order: int) -> ModelSeries:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    t4, t2 = _single_slot(4), _single_slot(2)
     orders = [Poly1([1])]
     for k in range(1, order + 1):
         acc = Poly1([])
         for lam in partitions_of(4 * k):
-            a = schur_single_slot(lam, 4)
+            a = schur(lam, t4)
             if a == 0:
                 continue
-            b = schur_single_slot(lam, 2)
+            b = schur(lam, t2)
             if b == 0:
                 continue
             acc = acc + pochhammer_poly(lam) * (a * b)

@@ -24,10 +24,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .partitions import Partition
-from .symfun import Poly1, _as_fraction, schur_from_eigenvalues
+from .symfun import Poly1, _as_fraction, _num_den, schur_from_eigenvalues
 from .weights import ContentFunction, hook_product, pochhammer
 
 BLOCK = 1000  # samples per RNG stream; part of the determinism contract
@@ -187,7 +186,7 @@ def _mc_schur_identity(
         "estimate": est.mean,
         "std_error": est.std_error,
         "samples": est.samples,
-        "exact": f"{exact.numerator}/{exact.denominator}",
+        "exact": _num_den(exact),
         "exact_float": exact_f,
         "z": est.z_score(exact_f),
         "sigma": sigma,
@@ -354,6 +353,8 @@ def moment_real_imaginary(n: int, m: int, eps: float) -> complex:
 
     import warnings
 
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(
@@ -390,6 +391,8 @@ def moment_circle(n: int, m: int, grid: int = 256) -> complex:
 
 def moment_unit_interval(n: int, a: Fraction) -> float:
     """int_0^1 x^n (1-x)^(-a) dx for Re a < 1 (the 1F0 measure)."""
+    from scipy import integrate
+
     af = float(a)
 
     def integrand(x):
@@ -404,6 +407,7 @@ def moment_unit_interval(n: int, a: Fraction) -> float:
 def moment_halfline_pfs(n: int, a: Sequence, b: Sequence) -> float:
     """int_0^infty x^n pFs(a; b; -x) dx for p <= s (convergent case)."""
     import mpmath
+    from scipy import integrate
 
     al = [mpmath.mpf(float(x)) for x in a]
     bl = [mpmath.mpf(float(x)) for x in b]

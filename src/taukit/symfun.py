@@ -6,13 +6,15 @@ Everything here is exact rational arithmetic.  The two workhorses are
   fixed weighted total degree (variable i carries a weight, typically m for
   the time t_m), and
 * ``Times`` -- a truncated vector (t_1, ..., t_K) of "higher times" whose
-  entries are Fractions or PolySeries, feeding the complete symmetric
-  functions h_m and Schur determinants.
+  entries are Fractions or PolySeries.  Each Times caches its complete and
+  elementary symmetric functions h_0..h_k and e_0..e_k, grown on demand by
+  the Newton recurrences, so every Schur function of the same Times shares
+  them.
 
-Schur functions are evaluated through the Jacobi-Trudi determinant (on the
-shorter of lambda / lambda'), skew Schur functions through the shifted
-determinant, and eigenvalue specializations through the bialternant ratio
-with a Miwa-map fallback.
+Schur functions are evaluated through one Jacobi-Trudi builder: the
+h-determinant on lambda or the e-determinant on lambda', whichever is
+shorter, and the shifted h-determinant for skew shapes.  Eigenvalue
+specializations use the bialternant ratio with a Miwa-map fallback.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .partitions import Partition, SkewShape, enumerate_partitions
 
 Scalar = Union[int, Fraction]
+_EMPTY = Partition()
 
 
 def _as_fraction(x) -> Fraction:
@@ -31,6 +34,11 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
+
+
+def _num_den(x) -> str:
+    """An exact rational (Fraction or int) as "num/den", the output convention."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 class PolyRing:
@@ -276,8 +284,7 @@ class PolySeries:
         """{"e1,e2,...": "num/den"} with keys sorted, for stable output."""
         items = {}
         for e in sorted(self.terms):
-            c = self.terms[e]
-            items[",".join(map(str, e))] = f"{c.numerator}/{c.denominator}"
+            items[",".join(map(str, e))] = _num_den(self.terms[e])
         return items
 
     def __repr__(self):
@@ -330,14 +337,17 @@ class Times:
     """A truncated vector of higher times (t_1, ..., t_K).
 
     Entries may be Fractions (numeric specializations) or PolySeries
-    (symbolic variables); t_m for m > K is exactly zero.
+    (symbolic variables); t_m for m > K is exactly zero.  The lists of
+    h_k(t) and e_k(t) computed so far are kept on the object.
     """
 
-    __slots__ = ("entries", "K")
+    __slots__ = ("entries", "K", "_h", "_e")
 
     def __init__(self, entries: Sequence):
         self.entries = tuple(entries)
         self.K = len(self.entries)
+        self._h = [Fraction(1)]
+        self._e = [Fraction(1)]
 
     def get(self, m: int):
         """t_m (1-based); zero beyond the cutoff."""
@@ -381,13 +391,26 @@ class Times:
         q = _as_fraction(q)
         return cls([Fraction(1, 1) / (m * (1 - q**m)) for m in range(1, K + 1)])
 
-    @classmethod
-    def from_eigenvalues(cls, xs: Sequence, K: int, sign: int = 1) -> "Times":
-        """Miwa map: t_m = sign * (1/m) * sum_i x_i^m."""
-        return miwa(xs, K, sign)
-
     def negate(self) -> "Times":
         return Times([-e for e in self.entries])
+
+    def _symmetric(self, dual: bool, D: int) -> list:
+        """The cached list h_0..h_D (e_0..e_D when dual), extended in place.
+
+        Newton: k h_k = sum_m m t_m h_{k-m} and
+        k e_k = sum_m (-1)^(m-1) m t_m e_{k-m}; t_m = 0 for m > K.
+        """
+        seq = self._e if dual else self._h
+        for k in range(len(seq), D + 1):
+            acc = None
+            for m in range(1, min(k, self.K) + 1):
+                tm = self.entries[m - 1]
+                if isinstance(tm, Fraction) and tm == 0:
+                    continue
+                piece = ((-m if dual and m % 2 == 0 else m) * tm) * seq[k - m]
+                acc = piece if acc is None else acc + piece
+            seq.append(Fraction(0) if acc is None else acc * Fraction(1, k))
+        return seq
 
     def __repr__(self):
         return f"Times({list(self.entries)})"
@@ -407,28 +430,15 @@ def miwa(xs: Sequence, K: int, sign: int = 1) -> Times:
 
 
 def h_list(t: Times, D: int) -> list:
-    """Complete symmetric functions h_0..h_D of the times t.
-
-    Defined by exp(sum_m t_m z^m) = sum_k h_k z^k, computed by the Newton
-    recurrence k h_k = sum_m (m t_m) h_{k-m}.
-    """
-    hs = [Fraction(1)]
-    for k in range(1, D + 1):
-        acc = None
-        for m in range(1, k + 1):
-            tm = t.get(m)
-            if isinstance(tm, Fraction) and tm == 0:
-                continue
-            piece = (m * tm) * hs[k - m]
-            acc = piece if acc is None else acc + piece
-        hs.append(Fraction(0) if acc is None else acc * Fraction(1, k))
-    return hs
+    """Complete symmetric functions h_0..h_D of the times t, defined by
+    exp(sum_m t_m z^m) = sum_k h_k z^k (a copy of the list t caches)."""
+    return t._symmetric(False, D)[: D + 1]
 
 
 def e_list(t: Times, D: int) -> list:
-    """Elementary symmetric functions e_0..e_D: e_k(t) = (-1)^k h_k(-t)."""
-    hs = h_list(t.negate(), D)
-    return [h if k % 2 == 0 else -h for k, h in enumerate(hs)]
+    """Elementary symmetric functions e_0..e_D: e_k(t) = (-1)^k h_k(-t)
+    (a copy of the list t caches)."""
+    return t._symmetric(True, D)[: D + 1]
 
 
 def _det(rows: list[list]) -> object:
@@ -462,7 +472,21 @@ def _det(rows: list[list]) -> object:
     return expand(0, tuple(range(n)))
 
 
-def schur(lam: Partition, t: Times, hs: Optional[list] = None) -> object:
+def _jacobi_trudi(seq: list, outer: Partition, inner: Partition) -> object:
+    """det(seq[outer_i - inner_j - i + j]) of size max(l(outer), l(inner), 1),
+    with seq[k] = 0 for k < 0; seq must reach index outer_1 + size - 1."""
+    n = max(outer.length, inner.length, 1)
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            k = outer.part(i) - inner.part(j) - i + j
+            row.append(seq[k] if k >= 0 else Fraction(0))
+        rows.append(row)
+    return _det(rows)
+
+
+def schur(lam: Partition, t: Times) -> object:
     """Schur function s_lambda(t) by the Jacobi-Trudi determinant.
 
     Uses the h-determinant on lambda or the e-determinant on the conjugate,
@@ -471,32 +495,12 @@ def schur(lam: Partition, t: Times, hs: Optional[list] = None) -> object:
     if lam.length == 0:
         return Fraction(1)
     conj = lam.conjugate()
-    if hs is not None or lam.length <= conj.length:
-        n = lam.length
-        if hs is None:
-            hs = h_list(t, lam.part(1) + n)
-        rows = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                k = lam.part(i) - i + j
-                row.append(hs[k] if 0 <= k < len(hs) else Fraction(0))
-            rows.append(row)
-        return _det(rows)
-    # dual Jacobi-Trudi on the conjugate with elementary symmetric functions
-    n = conj.length
-    es = e_list(t, conj.part(1) + n)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            k = conj.part(i) - i + j
-            row.append(es[k] if 0 <= k < len(es) else Fraction(0))
-        rows.append(row)
-    return _det(rows)
+    dual = conj.length < lam.length
+    side = conj if dual else lam
+    return _jacobi_trudi(t._symmetric(dual, side.part(1) + side.length - 1), side, _EMPTY)
 
 
-def skew_schur(shape, t: Times, hs: Optional[list] = None) -> object:
+def skew_schur(shape, t: Times) -> object:
     """Skew Schur function via det(h_{lambda_i - mu_j - i + j}).
 
     Accepts a SkewShape or a bare (outer, inner) pair; reduces to
@@ -508,18 +512,9 @@ def skew_schur(shape, t: Times, hs: Optional[list] = None) -> object:
     else:
         lam, mu = shape
     if mu.length == 0:
-        return schur(lam, t, hs=hs)
+        return schur(lam, t)
     n = max(lam.length, mu.length, 1)
-    if hs is None:
-        hs = h_list(t, lam.part(1) + n)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            k = lam.part(i) - mu.part(j) - i + j
-            row.append(hs[k] if 0 <= k < len(hs) else Fraction(0))
-        rows.append(row)
-    return _det(rows)
+    return _jacobi_trudi(t._symmetric(False, lam.part(1) + n - 1), lam, mu)
 
 
 def schur_from_eigenvalues(lam: Partition, xs: Sequence) -> Fraction:

@@ -25,6 +25,7 @@ from .symfun import (
     _as_fraction,
     _cross,
     _det,
+    _num_den,
     h_list,
     miwa,
     schur,
@@ -77,7 +78,7 @@ class Eigs(Side):
         return len(self.xs)
 
     def describe(self):
-        return f"eigs({self.xs})"
+        return f"eigs([{', '.join(map(_num_den, self.xs))}])"
 
 
 class WeightA(Side):
@@ -90,7 +91,7 @@ class WeightA(Side):
         return Times.weight_a(self.a, max(D, 1))
 
     def describe(self):
-        return f"t(a={self.a})"
+        return f"t(a={_num_den(self.a)})"
 
 
 class TInf(Side):
@@ -108,12 +109,14 @@ class QGeo(Side):
 
     def __init__(self, q):
         self.q = _as_fraction(q)
+        if not 0 < abs(self.q) < 1:
+            raise ValueError(f"qgeo: q must satisfy 0 < |q| < 1, got q={_num_den(self.q)}")
 
     def times(self, D):
         return Times.q_geometric(self.q, max(D, 1))
 
     def describe(self):
-        return f"qgeo(q={self.q})"
+        return f"qgeo(q={_num_den(self.q)})"
 
 
 class TauSpec:
@@ -204,40 +207,35 @@ class TauSeries:
         return out
 
     def to_json(self) -> dict:
-        return {
-            str(lam): f"{c.numerator}/{c.denominator}" for lam, c in self.items()
-        }
+        return {str(lam): _num_den(c) for lam, c in self.items()}
 
 
-def _truncation_bounds(r: ContentFunction, n: int, D: int, lmax: int, cmax: int):
-    """Row/column cutoffs induced by zeros of r, with poles rejected.
+def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int):
+    """(lambda, r_lambda(n)) for |lambda| <= D and l(lambda) <= lmax, with
+    zero weights skipped.
 
     Scanning away from the charge, a zero of r truncates the series (no
     partition can reach past it), while a pole before any zero is an error.
     """
-    row_cap = lmax
-    for k in range(1, lmax):
-        try:
-            v = r(n - k)
-        except ContentPoleError:
-            raise ContentPoleError(
-                f"pole of r at {n - k} inside the content window"
-            )
-        if v == 0:
-            row_cap = k
-            break
-    col_cap = cmax
-    for k in range(1, cmax):
-        try:
-            v = r(n + k)
-        except ContentPoleError:
-            raise ContentPoleError(
-                f"pole of r at {n + k} inside the content window"
-            )
-        if v == 0:
-            col_cap = k
-            break
-    return row_cap, col_cap
+
+    def reach(step: int, limit: int) -> int:
+        for k in range(1, limit):
+            try:
+                v = r(n + step * k)
+            except ContentPoleError:
+                raise ContentPoleError(
+                    f"pole of r at {n + step * k} inside the content window"
+                )
+            if v == 0:
+                return k
+        return limit
+
+    row_cap = reach(-1, max(lmax, 1))
+    col_cap = reach(1, max(D, 1))
+    for lam in enumerate_partitions(D, length_max=min(lmax, row_cap), col_max=col_cap):
+        c = content_product(r, n, lam)
+        if c:
+            yield lam, c
 
 
 def tau_series(spec: TauSpec, D: int, length_max: Optional[int] = None) -> TauSeries:
@@ -256,25 +254,14 @@ def tau_series(spec: TauSpec, D: int, length_max: Optional[int] = None) -> TauSe
         cap = side.length_cap()
         if cap is not None:
             lmax = min(lmax, cap)
-    row_cap, col_cap = _truncation_bounds(r, n, D, max(lmax, 1), max(D, 1))
-    t_times = spec.tside.times(D)
-    u_times = spec.uside.times(D)
-    t_hs = h_list(t_times, D) if t_times is not None else None
-    u_hs = h_list(u_times, D) if u_times is not None else None
+    specialized = [t for t in (spec.tside.times(D), spec.uside.times(D)) if t is not None]
     coeffs: dict[Partition, Fraction] = {}
-    for lam in enumerate_partitions(D, length_max=min(lmax, row_cap), col_max=col_cap):
-        c = content_product(r, n, lam)
-        if c == 0:
-            continue
-        if t_times is not None:
-            c *= schur(lam, t_times, hs=t_hs)
-            if c == 0:
-                continue
-        if u_times is not None:
-            c *= schur(lam, u_times, hs=u_hs)
-            if c == 0:
-                continue
-        coeffs[lam] = c
+    for lam, c in _weighted_partitions(r, n, D, lmax):
+        for times in specialized:
+            if c:
+                c *= schur(lam, times)
+        if c:
+            coeffs[lam] = c
     return TauSeries(spec, D, coeffs)
 
 
@@ -442,18 +429,12 @@ def det_rep_one_side(
         raise ValueError("the t* side must be specialized for this identity")
     # series side
     t_times = miwa(xs, cap)
-    t_hs = h_list(t_times, cap)
     series = ring.zero()
-    row_cap, col_cap = _truncation_bounds(r, M, D, N, max(D, 1))
-    for lam in enumerate_partitions(D, length_max=min(N, row_cap), col_max=col_cap):
-        c = content_product(r, M, lam)
-        if c == 0:
-            continue
+    for lam, c in _weighted_partitions(r, M, D, N):
         su = schur(lam, u_times)
         if su == 0:
             continue
-        sx = schur(lam, t_times, hs=t_hs)
-        series = series + sx * (c * su)
+        series = series + schur(lam, t_times) * (c * su)
     delta = _vandermonde(ring, list(range(N)))
     lhs = delta * series
     # determinant side
@@ -509,17 +490,9 @@ def det_rep_two_side(r: ContentFunction, M: int, N: int, D: int) -> DetRepResult
     ys = [ring.var(N + i) for i in range(N)]
     tx = miwa(xs, cap)
     ty = miwa(ys, cap)
-    hx = h_list(tx, cap)
-    hy = h_list(ty, cap)
     series = ring.zero()
-    row_cap, col_cap = _truncation_bounds(r, M, D, N, max(D, 1))
-    for lam in enumerate_partitions(D, length_max=min(N, row_cap), col_max=col_cap):
-        c = content_product(r, M, lam)
-        if c == 0:
-            continue
-        sx = schur(lam, tx, hs=hx)
-        sy = schur(lam, ty, hs=hy)
-        series = series + (sx * sy) * c
+    for lam, c in _weighted_partitions(r, M, D, N):
+        series = series + (schur(lam, tx) * schur(lam, ty)) * c
     lhs = _vandermonde(ring, list(range(N))) * _vandermonde(
         ring, list(range(N, 2 * N))
     ) * series

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .partitions import Partition, SkewShape
-from .symfun import Times, _as_fraction, schur
+from .symfun import Times, _as_fraction, _num_den, schur
 
 
 class ContentPoleError(ArithmeticError):
@@ -98,7 +98,8 @@ class RationalContent(ContentFunction):
         return num / den
 
     def __repr__(self):
-        return f"RationalContent(a={list(self.a)}, b={list(self.b)})"
+        a, b = (", ".join(map(_num_den, xs)) for xs in (self.a, self.b))
+        return f"RationalContent(a=[{a}], b=[{b}])"
 
 
 class QRationalContent(ContentFunction):
@@ -130,7 +131,7 @@ class QRationalContent(ContentFunction):
         return num / den
 
     def __repr__(self):
-        return f"QRationalContent(a={list(self.a)}, b={list(self.b)}, q={self.q})"
+        return f"QRationalContent(a={list(self.a)}, b={list(self.b)}, q={_num_den(self.q)})"
 
 
 class LinearContent(ContentFunction):
@@ -166,7 +167,8 @@ class TabulatedContent(ContentFunction):
         return self.table[k]
 
     def __repr__(self):
-        return f"TabulatedContent({self.table})"
+        items = ", ".join(f"{k}: {_num_den(v)}" for k, v in self.table.items())
+        return f"TabulatedContent({{{items}}})"
 
 
 class ShiftedContent(ContentFunction):
@@ -190,7 +192,7 @@ class ScaledContent(ContentFunction):
         return self.c * self.base(k)
 
     def __repr__(self):
-        return f"{self.base!r}.scaled({self.c})"
+        return f"{self.base!r}.scaled({_num_den(self.c)})"
 
 
 class ReflectedContent(ContentFunction):

@@ -39,6 +39,13 @@ def test_tau_subcommand(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["coefficients"]["[4]"] == "24/1"
+    code, out = run_cli(
+        capsys, "tau", "--r", "rational:a=1/2;b=3", "--n", "1", "--t", "eigs:1/2,3", "--tstar", "ta:2",
+        "--deg", "2",
+    )
+    assert json.loads(out)["spec"] == (
+        "tau(r=RationalContent(a=[1/2], b=[3/1]), n=1, t=eigs([1/2, 3/1]), t*=t(a=2/1))"
+    )
     # the lambda = (4) entry reproduces the quartic t4 (t2*)^2 bookkeeping:
     # weight (1)_(4) = 4! on the single-row series at charge 1
 
@@ -89,6 +96,9 @@ def test_usage_error_exit_two(capsys):
     assert code == 2
     code = main(["no-such-command"])
     assert code == 2
+    for q in ("1", "2", "0", "-1"):
+        code = main(["tau", "--r", "one", "--n", "0", "--t", "ta:1", "--tstar", f"qgeo:{q}", "--deg", "2"])
+        assert code == 2 and f"q={q}/1" in capsys.readouterr().err
 
 
 def test_oracle_mc_bad_input_exit_two(capsys):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,3 +269,13 @@ def test_mc_golden_floats():
             Partition(lam), A, B, n, 4321, seed=5, mu=None if mu is None else Partition(mu)
         )
         assert (float.hex(rep["estimate"]), float.hex(rep["std_error"])) == (estimate, std_error), (kind, lam, mu, n)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the quadrature oracles only when they run
+    import taukit
+
+    env = {**os.environ, "PYTHONPATH": str(Path(taukit.__file__).resolve().parent.parent)}
+    code = "import sys, taukit; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -10,6 +10,7 @@ from taukit.symfun import (
     PolySeries,
     Poly1,
     Times,
+    _det,
     cauchy_truncated,
     e_list,
     exp_series,
@@ -183,6 +184,50 @@ def test_poly1():
     with pytest.raises(ValueError):
         (x + 1).shift_divide(1)
     assert Poly1([0, 0, 5]).is_even() and not Poly1([0, 1]).is_even()
+
+
+partitions_to_8 = st.sampled_from(list(enumerate_partitions(8)))
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@given(partitions_to_8, st.lists(rationals, min_size=1, max_size=8), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_h_determinant_equals_e_determinant_on_conjugate(lam, values, formal):
+    # det(h_{lambda_i - i + j}) = det(e_{lambda'_i - i + j}), Macdonald I.3
+    K = max(lam.weight, 1)
+    if formal:
+        ring = PolyRing.times_ring(K)
+        t = Times([ring.var(m) * v for m, v in enumerate((values * K)[:K])])
+    else:
+        t = Times.of(values)
+
+    def jacobi_trudi(seq, p):
+        n = p.length
+        return _det([[seq[p.part(i) - i + j] if p.part(i) - i + j >= 0 else F(0) for j in range(1, n + 1)]
+                     for i in range(1, n + 1)])
+
+    conj = lam.conjugate()
+    h_det = jacobi_trudi(h_list(t, lam.part(1) + lam.length), lam)
+    e_det = jacobi_trudi(e_list(t, conj.part(1) + conj.length), conj)
+    assert h_det == e_det == schur(lam, t), lam
+
+
+@given(st.lists(rationals, min_size=1, max_size=6), st.lists(st.integers(0, 9), min_size=1, max_size=6),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_cached_symmetric_lists_grow_to_fresh_ones(values, steps, formal):
+    D = max(steps)
+    if formal:
+        ring = PolyRing.times_ring(len(values), cap=D)
+        entries = [ring.var(m) * v for m, v in enumerate(values)]
+    else:
+        entries = values
+    t = Times.of(entries)
+    for d in steps:
+        assert h_list(t, d) == h_list(Times.of(entries), d)
+        assert e_list(t, d) == e_list(Times.of(entries), d)
+    # e_k(t) = (-1)^k h_k(-t)
+    assert e_list(t, D) == [h * (-1) ** k for k, h in enumerate(h_list(t.negate(), D))]
 
 
 @given(st.integers(min_value=1, max_value=6))

@@ -273,6 +273,28 @@ def test_symmetry_checks():
         assert all(rep.values()), (r, n, rep)
 
 
+def test_tau_series_numeric_sides_golden():
+    # sha256 of the sorted to_json() table, recorded when numeric sides always
+    # took the h-determinant on lambda; every Jacobi-Trudi path must match it
+    import hashlib
+    import json
+
+    cases = [
+        (RationalContent([F(1, 2)], [F(7, 2)]), 1, WeightA(F(3, 2)), QGeo(F(1, 3)), 139,
+         "cad5de5f63afc69855767d4943cc3924cda78e2fa1fe06e0ef7b551e64a9a77b"),
+        (QRationalContent([-4], [12], F(1, 2)), 0, QGeo(F(-1, 2)), WeightA(F(-2, 3)), 94,
+         "794ab5f627afdbdbac83449c4b46333e97a94937d17ddf0c9b11cf1e44e2396d"),
+        (LIN, 3, WeightA(F(5, 2)), TInf(), 67,
+         "c8c9c42648f716d78fa0b600ed5aeaa13c7e643d0a1d66373aeb99e39d05a066"),
+        (RationalContent([F(1, 3), -6], [F(7, 4)]), 2, QGeo(F(2, 5)), TInf(), 94,
+         "02c6e71acd4839db46c27974bd0966227561924e5e9625f8a5118550b2bce474"),
+    ]
+    for r, n, t, u, terms, digest in cases:
+        ts = tau_series(TauSpec(r, n, t, u), 10)
+        blob = json.dumps(ts.to_json(), sort_keys=True).encode()
+        assert (len(ts.coeffs), hashlib.sha256(blob).hexdigest()) == (terms, digest), ts.spec.describe()
+
+
 def test_tau_series_one_variable_coeffs_match_kernel():
     # tau_r(M, t(x), t*) one-variable coefficients = r-run times h_j(t*)
     r = RationalContent(a=[F(1, 2)])
