@@ -3,7 +3,7 @@
 The two-matrix model carries the weight (n)_lambda; freezing its couplings
 to (t4, t2*) gives the quartic one-matrix model, whose order coefficients
 come out as exact polynomials in the matrix size N and are cross-checked
-against the independent Wick-pairing oracle.
+against the independent Wick-moment oracle.
 """
 
 from fractions import Fraction as F

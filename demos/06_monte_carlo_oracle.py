@@ -1,10 +1,10 @@
-"""The independent oracles: Monte Carlo, Wick pairings, quadrature.
+"""The independent oracles: Monte Carlo, Wick moments, quadrature.
 
 Nothing here knows about the series machinery.  Haar-unitary and complex
 Gaussian averages of Schur functions are estimated by Monte Carlo and held
-against the exact closed forms at 3 sigma; Gaussian trace moments are
-enumerated exactly as pairings; the moment measures are integrated
-numerically on their contours.
+against the exact closed forms at 3 sigma; Gaussian trace moments come
+exactly from the loop-equation recursion; the moment measures are
+integrated numerically on their contours.
 """
 
 import math
@@ -36,7 +36,7 @@ for shape in [(1,), (1, 1)]:
           f"exact={rep['exact_float']:+.5f} z={rep['z']:+.2f} pass={rep['pass']}")
 print()
 
-print("Wick pairing enumeration (exact polynomials in N):")
+print("Wick moments (exact polynomials in N):")
 for powers in ([2], [4], [4, 4]):
     print(f"  E[prod Tr M^{powers}] * (Ng)^{sum(powers)//2} =",
           wick_gaussian_moment(powers))

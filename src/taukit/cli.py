@@ -315,7 +315,10 @@ def cmd_oracle(args) -> int:
         _emit(args, rep)
         return 0 if rep["pass"] else 1
     if which == "wick":
-        poly = oracle_mod.wick_gaussian_moment(_int_list(args.powers))
+        try:
+            poly = oracle_mod.wick_gaussian_moment(_int_list(args.powers))
+        except ValueError as exc:
+            raise ValueError(f"--powers {args.powers!r}: {exc}") from None
         _emit(args, {
             "oracle": "wick",
             "powers": args.powers,

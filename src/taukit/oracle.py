@@ -5,8 +5,9 @@ Three oracles live here, deliberately unaware of the series machinery:
 * Monte Carlo averages of Schur functions over Haar-unitary and complex
   Gaussian matrices (checked against the exact unitary/Gaussian integration
   formulas at the 3-sigma level),
-* exact Gaussian Wick-pairing enumeration of Hermitian trace moments,
-  contracted symbolically in the matrix size N,
+* exact Gaussian Wick moments of Hermitian trace products, as polynomials
+  in the matrix size N, by the loop-equation (Tutte) recursion on the first
+  half-edge of a trace,
 * quadrature of the one-variable moment measures whose diagonal moments
   realize the deformed scalar product.
 
@@ -19,6 +20,7 @@ the blocks are scheduled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -72,8 +74,7 @@ def sample_haar_unitary(n: int, gen: np.random.Generator) -> np.ndarray:
 def sample_haar_unitary_batch(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitaries via QR of complex Ginibre matrices with the
     phases of the R diagonal normalized."""
-    z = (gen.standard_normal((count, n, n)) + 1j * gen.standard_normal((count, n, n))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(sample_ginibre_batch(n, count, gen))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
 
@@ -82,6 +83,23 @@ def sample_ginibre_batch(n: int, count: int, gen: np.random.Generator) -> np.nda
     """Complex Gaussian matrices with density exp(-Tr Z Z^+) pi^{-n^2}
     (unit-variance complex entries)."""
     return (gen.standard_normal((count, n, n)) + 1j * gen.standard_normal((count, n, n))) / np.sqrt(2)
+
+
+def _pairwise_sum(terms: list) -> np.ndarray:
+    """terms[0] + terms[1] + ... in the order of numpy's pairwise summation
+    (sequential below 4 terms, four running sums up to 64, halves above), so
+    a sum of diagonal entries equals np.trace bit for bit."""
+    k = len(terms)
+    if k > 64:
+        half = (k - k % 8) // 2
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    if k < 4:
+        return sum(terms[1:], terms[0])
+    cut = k - k % 4
+    s = terms[:4]
+    for i in range(4, cut):
+        s[i % 4] = s[i % 4] + terms[i]
+    return sum(terms[cut:], (s[0] + s[1]) + (s[2] + s[3]))
 
 
 def schur_of_matrix(lam: Partition, mats: np.ndarray) -> np.ndarray:
@@ -94,7 +112,8 @@ def schur_of_matrix(lam: Partition, mats: np.ndarray) -> np.ndarray:
     powers = [None, mats]
     for _ in range(2, d + 1):
         powers.append(powers[-1] @ mats)
-    p = [None] + [np.trace(powers[m], axis1=-2, axis2=-1) for m in range(1, d + 1)]
+    # the traces without np.trace's reduction loop over every matrix of the stack
+    p = [None] + [_pairwise_sum([P[:, i, i] for i in range(P.shape[-1])]) for P in powers[1:]]
     h = [np.ones(batch, dtype=complex)]
     for k in range(1, d + 1):
         acc = np.zeros(batch, dtype=complex)
@@ -106,10 +125,7 @@ def schur_of_matrix(lam: Partition, mats: np.ndarray) -> np.ndarray:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             k = lam.part(i) - i + j
-            if k < 0:
-                mat[:, i - 1, j - 1] = 0.0
-            else:
-                mat[:, i - 1, j - 1] = h[k] if k <= d else 0.0
+            mat[:, i - 1, j - 1] = h[k] if 0 <= k <= d else 0.0
     return np.linalg.det(mat)
 
 
@@ -117,19 +133,13 @@ def _blocked_mean(values_fn, samples: int, seed: int) -> MCEstimate:
     """Mean/σ accumulated over fixed blocks with one RNG stream per block."""
     total = 0.0
     total2 = 0.0
-    count = 0
-    block_id = 0
-    while count < samples:
-        take = min(BLOCK, samples - count)
-        gen = RngStream(seed, block_id).gen
-        vals = values_fn(take, gen)
+    for block_id, start in enumerate(range(0, samples, BLOCK)):
+        vals = values_fn(min(BLOCK, samples - start), RngStream(seed, block_id).gen)
         total += float(np.sum(vals))
         total2 += float(np.sum(np.asarray(vals) ** 2))
-        count += take
-        block_id += 1
-    mean = total / count
-    var = max(total2 / count - mean**2, 0.0)
-    return MCEstimate(mean, math.sqrt(var / count), count)
+    mean = total / samples
+    var = max(total2 / samples - mean**2, 0.0)
+    return MCEstimate(mean, math.sqrt(var / samples), samples)
 
 
 def _mc_schur_identity(
@@ -161,8 +171,9 @@ def _mc_schur_identity(
         raise ValueError("need l(lambda) <= n")
     if mu is not None and mu.length > n:
         raise ValueError("need l(mu) <= n")
-    Ad = np.diag(np.array([float(a) for a in A], dtype=complex))
-    Bd = np.diag(np.array([float(b) for b in B], dtype=complex))
+    # diag(A) X diag(B) by scaling rows and columns, without matmuls
+    a = np.array([float(x) for x in A], dtype=complex)[:, None]
+    b = np.array([float(x) for x in B], dtype=complex)[None, :]
     if mu is None:
         exact = norm(lam, n) * schur_from_eigenvalues(lam, A) * schur_from_eigenvalues(lam, B)
     elif lam == mu:
@@ -174,8 +185,8 @@ def _mc_schur_identity(
         X = sample(n, count, gen)
         Xh = np.conjugate(np.transpose(X, (0, 2, 1)))
         if mu is None:
-            return np.real(schur_of_matrix(lam, Ad @ X @ Bd @ Xh))
-        return np.real(schur_of_matrix(lam, Ad @ X) * schur_of_matrix(mu, Xh @ Bd))
+            return np.real(schur_of_matrix(lam, (a * X * b) @ Xh))
+        return np.real(schur_of_matrix(lam, a * X) * schur_of_matrix(mu, Xh * b))
 
     est = _blocked_mean(values, samples, seed)
     exact_f = float(exact)
@@ -236,19 +247,7 @@ def mc_schur_ginibre_identity(
     return _mc_schur_identity("ginibre", sample_ginibre_batch, norm, lam, A, B, n, samples, seed, mu, sigma)
 
 
-# -- exact Wick pairing oracle ------------------------------------------------
-
-
-def _all_pairings(items: list):
-    """All perfect pairings of the given positions."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for idx, other in enumerate(rest):
-        head = (first, other)
-        for tail in _all_pairings(rest[:idx] + rest[idx + 1:]):
-            yield [head] + tail
+# -- exact Wick moment oracle ---------------------------------------------------
 
 
 def wick_gaussian_moment(trace_powers: Sequence[int]) -> Poly1:
@@ -256,43 +255,37 @@ def wick_gaussian_moment(trace_powers: Sequence[int]) -> Poly1:
     <M_ab M_cd> = delta_ad delta_bc * v, as a polynomial in N with the
     power v^(sum k / 2) left implicit (v = 1/(N g) in the quartic model).
 
-    Each pairing contributes N^(number of index loops); loops are counted by
-    union-find over the row-index variables after contraction.
+    Loop equation on the first half-edge of the last trace Tr M^k (Tutte
+    1962; Harer-Zagier 1986): pairing it with the half-edge j + 1 steps along
+    its own trace splits the trace, pairing it with one of the k_i half-edges
+    of another trace merges the two, and Tr M^0 = N:
+
+        E[Tr M^k R] = sum_{j=0}^{k-2} E[Tr M^j Tr M^{k-2-j} R]
+                      + sum_i k_i E[Tr M^{k+k_i-2} R / Tr M^{k_i}].
     """
-    T = sum(trace_powers)
-    if T % 2:
+    powers = list(trace_powers)
+    if any(not isinstance(k, numbers.Integral) or k < 0 for k in powers):
+        raise ValueError(f"powers must be non-negative integers (got {powers})")
+    if sum(powers) % 2:
         raise ValueError("odd total power: moment vanishes")
-    if T == 0:
-        return Poly1([1])
-    # successor map within each trace cycle
-    succ = {}
-    base = 0
-    for k in trace_powers:
-        for p in range(base, base + k):
-            succ[p] = base + (p - base + 1) % k
-        base += k
-    total = Poly1([])
-    for pairing in _all_pairings(list(range(T))):
-        parent = list(range(T))
+    memo: dict = {(): [1]}  # local to the call, so memory does not grow across calls
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def moment(ks: tuple) -> list:
+        # the moment of the sorted powers ks, as integer coefficients of N^0, N^1, ...
+        if ks and ks[0] == 0:
+            return [0] + moment(ks[1:])
+        if ks not in memo:
+            *rest, k = ks
+            splits = [(rest + [j, k - 2 - j], 1) for j in range(k - 1)]
+            merges = [(rest[:i] + rest[i + 1:] + [k + ki - 2], ki) for i, ki in enumerate(rest)]
+            out = [0] * (sum(ks) // 2 + len(ks) + 1)  # degree <= T/2 + number of traces
+            for sub, weight in splits + merges:
+                for e, c in enumerate(moment(tuple(sorted(sub)))):
+                    out[e] += weight * c
+            memo[ks] = out
+        return memo[ks]
 
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        # pairing (p, q): row(p) ~ row(succ(q)), row(q) ~ row(succ(p))
-        for p, q in pairing:
-            union(p, succ[q])
-            union(q, succ[p])
-        loops = sum(1 for x in range(T) if find(x) == x)
-        total = total + Poly1([0] * loops + [1])
-    return total
+    return Poly1(moment(tuple(sorted(powers))))
 
 
 def quartic_wick_order(k: int) -> Poly1:

@@ -494,9 +494,8 @@ def schur(lam: Partition, t: Times) -> object:
     """
     if lam.length == 0:
         return Fraction(1)
-    conj = lam.conjugate()
-    dual = conj.length < lam.length
-    side = conj if dual else lam
+    dual = lam.part(1) < lam.length  # l(lambda') = lambda_1
+    side = lam.conjugate() if dual else lam
     return _jacobi_trudi(t._symmetric(dual, side.part(1) + side.length - 1), side, _EMPTY)
 
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -128,6 +129,19 @@ def test_oracle_wick_cli(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["N_polynomial"] == ["0/1", "1/1", "0/1", "2/1"]
+    # E[Tr M^0 Tr M^2] = N^3
+    code, out = run_cli(capsys, "oracle", "wick", "--powers", "0,2")
+    assert code == 0 and json.loads(out)["N_polynomial"] == ["0/1", "0/1", "0/1", "1/1"]
+    # 2 027 025 = 15!! pairings, each worth 1 at N = 1
+    code, out = run_cli(capsys, "oracle", "wick", "--powers", "4,4,4,4")
+    assert code == 0
+    assert sum(Fraction(c) for c in json.loads(out)["N_polynomial"]) == 2027025
+
+
+def test_oracle_wick_bad_powers_exit_two(capsys):
+    for powers in ("--powers=-2,4", "--powers=a"):
+        code = main(["oracle", "wick", powers])
+        assert code == 2 and "--powers" in capsys.readouterr().err, powers
 
 
 def test_model_quartic_cli(capsys):

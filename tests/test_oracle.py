@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from taukit.partitions import Partition, enumerate_partitions
+from taukit.partitions import Partition, enumerate_partitions, partitions_of
 from taukit.symfun import Poly1
 from taukit.weights import LinearContent, RationalContent
 from taukit.oracle import (
@@ -17,6 +19,7 @@ from taukit.oracle import (
     MCEstimate,
     MomentMeasure,
     RngStream,
+    _blocked_mean,
     halfline_exact,
     mc_schur_ginibre_identity,
     mc_schur_unitary_identity,
@@ -28,6 +31,7 @@ from taukit.oracle import (
     mu_series_coeffs,
     quartic_wick_order,
     sample_haar_unitary,
+    sample_ginibre_batch,
     sample_haar_unitary_batch,
     schur_of_matrix,
     wick_gaussian_moment,
@@ -61,6 +65,85 @@ def test_schur_of_matrix_vs_exact():
         got = schur_of_matrix(lam, M)[0]
         expect = float(schur_from_eigenvalues(lam, [F(1), F(1, 2)]))
         assert abs(got - expect) < 1e-12, lam
+
+
+def _schur_of_matrix_by_np_trace(lam, mats):
+    """schur_of_matrix as written with np.trace: the bitwise reference."""
+    d = lam.weight
+    if d == 0:
+        return np.ones(mats.shape[0], dtype=complex)
+    batch = mats.shape[0]
+    powers = [None, mats]
+    for _ in range(2, d + 1):
+        powers.append(powers[-1] @ mats)
+    p = [None] + [np.trace(powers[m], axis1=-2, axis2=-1) for m in range(1, d + 1)]
+    h = [np.ones(batch, dtype=complex)]
+    for k in range(1, d + 1):
+        acc = np.zeros(batch, dtype=complex)
+        for m in range(1, k + 1):
+            acc += p[m] * h[k - m]
+        h.append(acc / k)
+    n = lam.length
+    mat = np.empty((batch, n, n), dtype=complex)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            k = lam.part(i) - i + j
+            if k < 0:
+                mat[:, i - 1, j - 1] = 0.0
+            else:
+                mat[:, i - 1, j - 1] = h[k] if k <= d else 0.0
+    return np.linalg.det(mat)
+
+
+def _random_stack(rng, count, n):
+    scale = 10.0 ** rng.uniform(-3, 3, (count, n, n))
+    return (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))) * scale
+
+
+SMALL_PARTITIONS = [lam for d in range(4) for lam in partitions_of(d)]
+
+
+def test_schur_of_matrix_bitwise_equals_np_trace_formula():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        mats = _random_stack(rng, 400, n)
+        for lam in SMALL_PARTITIONS:
+            if lam.length <= n:
+                got = schur_of_matrix(lam, mats)
+                assert got.tobytes() == _schur_of_matrix_by_np_trace(lam, mats).tobytes(), (n, lam)
+    # larger n runs the other branches of numpy's pairwise summation order
+    for n in (4, 5, 8, 9, 13, 65, 70):
+        mats = _random_stack(rng, 20, n)
+        for lam in (Partition([1]), Partition([2]), Partition([1, 1])):
+            got = schur_of_matrix(lam, mats)
+            assert got.tobytes() == _schur_of_matrix_by_np_trace(lam, mats).tobytes(), (n, lam)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "ginibre"])
+def test_mc_body_bitwise_equals_diagonal_matmul_formula(kind):
+    sample = {"unitary": sample_haar_unitary_batch, "ginibre": sample_ginibre_batch}[kind]
+    rnd = random.Random(kind)
+    for trial in range(9):
+        n = 1 + trial % 3
+        fits = [lam for lam in SMALL_PARTITIONS if lam.length <= n]
+        lam = rnd.choice(fits)
+        mu = rnd.choice(fits + [None])
+        A = [F(rnd.randint(1, 9), rnd.randint(1, 9)) for _ in range(n)]
+        B = [F(rnd.randint(1, 9), rnd.randint(1, 9)) for _ in range(n)]
+        Ad = np.diag(np.array([float(a) for a in A], dtype=complex))
+        Bd = np.diag(np.array([float(b) for b in B], dtype=complex))
+
+        def values(count, gen):
+            X = sample(n, count, gen)
+            Xh = np.conjugate(np.transpose(X, (0, 2, 1)))
+            if mu is None:
+                return np.real(_schur_of_matrix_by_np_trace(lam, Ad @ X @ Bd @ Xh))
+            return np.real(_schur_of_matrix_by_np_trace(lam, Ad @ X) * _schur_of_matrix_by_np_trace(mu, Xh @ Bd))
+
+        rep = MC_FUNCTIONS[kind](lam, A, B, n, 1500, seed=trial, mu=mu)
+        ref = _blocked_mean(values, 1500, trial)
+        got = (float.hex(rep["estimate"]), float.hex(rep["std_error"]))
+        assert got == (float.hex(ref.mean), float.hex(ref.std_error)), (n, lam, mu, A, B)
 
 
 def test_mc_unitary_identities():
@@ -107,6 +190,101 @@ def test_wick_small_moments():
     assert wick_gaussian_moment([]) == Poly1([1])
     # E[(Tr M^2)^2] = N^4 + 2 N^2 (disconnected + two connected)
     assert wick_gaussian_moment([2, 2]) == Poly1([0, 0, 2, 0, 1])
+    # Tr M^0 = N
+    assert wick_gaussian_moment([0]) == Poly1([0, 1])
+    assert wick_gaussian_moment([0, 2]) == Poly1([0, 0, 0, 1])
+    assert wick_gaussian_moment([4, 0, 0]) == Poly1([0, 0, 0, 1, 0, 2])
+    for bad in ([-2, 4], [2, 1.5], ["a"]):
+        with pytest.raises(ValueError, match="powers"):
+            wick_gaussian_moment(bad)
+
+
+def _all_pairings(items: list):
+    """All perfect pairings of the given positions."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for idx, other in enumerate(rest):
+        head = (first, other)
+        for tail in _all_pairings(rest[:idx] + rest[idx + 1:]):
+            yield [head] + tail
+
+
+def _wick_by_pairings(trace_powers) -> Poly1:
+    """Reference: sum over all (T-1)!! Wick pairings of the positive powers,
+    each contributing N^(number of index loops), loops counted by union-find
+    over the row-index variables after contraction."""
+    T = sum(trace_powers)
+    if T == 0:
+        return Poly1([1])
+    succ = {}
+    base = 0
+    for k in trace_powers:
+        for p in range(base, base + k):
+            succ[p] = base + (p - base + 1) % k
+        base += k
+    total = Poly1([])
+    for pairing in _all_pairings(list(range(T))):
+        parent = list(range(T))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x, y):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+
+        # pairing (p, q): row(p) ~ row(succ(q)), row(q) ~ row(succ(p))
+        for p, q in pairing:
+            union(p, succ[q])
+            union(q, succ[p])
+        loops = sum(1 for x in range(T) if find(x) == x)
+        total = total + Poly1([0] * loops + [1])
+    return total
+
+
+# every multiset of positive trace powers with at most 12 half-edges
+WICK_MULTISETS = [list(lam.parts) for T in range(0, 13, 2) for lam in partitions_of(T)]
+
+
+def test_wick_recursion_equals_pairings_up_to_ten_half_edges():
+    for powers in WICK_MULTISETS:
+        if sum(powers) <= 10:
+            assert wick_gaussian_moment(powers) == _wick_by_pairings(powers), powers
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(WICK_MULTISETS), st.randoms(use_true_random=False))
+def test_wick_recursion_equals_pairings(powers, rnd):
+    # the recursion does not depend on the order of the traces
+    powers = rnd.sample(powers, len(powers))
+    assert wick_gaussian_moment(powers) == _wick_by_pairings(powers)
+
+
+def _harer_zagier(k: int) -> list:
+    """E[Tr M^2k] in N: (k+1) T_k = (4k-2) N T_{k-1} + (k-1)(2k-1)(2k-3) T_{k-2}."""
+    polys = [[0, 1], [0, 0, 1]]
+    for m in range(2, k + 1):
+        a = [0] + [(4 * m - 2) * c for c in polys[m - 1]]
+        b = [(m - 1) * (2 * m - 1) * (2 * m - 3) * c for c in polys[m - 2]]
+        b += [0] * (len(a) - len(b))
+        polys.append([(x + y) // (m + 1) for x, y in zip(a, b)])
+    return polys[k]
+
+
+def test_wick_single_trace_harer_zagier():
+    for k in range(11):
+        assert wick_gaussian_moment([2 * k]) == Poly1(_harer_zagier(k)), k
+
+
+def test_wick_at_one_counts_pairings():
+    # at N = 1 every pairing contributes 1: E[(Tr M^4)^5] = 19!!
+    assert sum(wick_gaussian_moment([4] * 5).coeffs) == math.prod(range(1, 20, 2))
 
 
 def test_wick_order_two():
