@@ -5,6 +5,9 @@ unitary|gen43|loop), fock, oracle (haar|ginibre|wick|mu), verify.  All exact
 values are printed as "num/den" strings; floats appear only in Monte Carlo
 and quadrature reports and always carry their error estimate.  Exit codes:
 0 success, 1 verification failure (with counterexample), 2 usage error.
+Every option value is converted while the command line is parsed, so a value
+that does not parse exits 2 with a message naming its option, e.g.
+"taukit tau: error: argument --t: invalid value 'ta:1/0' (zero denominator)".
 """
 
 from __future__ import annotations
@@ -13,10 +16,14 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .partitions import Partition, enumerate_partitions
@@ -38,7 +45,7 @@ from .tau import (
     symmetry_checks,
     tau_series,
 )
-from .weights import parse_content
+from .weights import content_product, parse_content, pochhammer
 from . import models as models_mod
 from . import oracle as oracle_mod
 from . import fock as fock_mod
@@ -56,6 +63,31 @@ def _int_list(text: str) -> list[int]:
     if not text:
         return []
     return [int(tok) for tok in text.split(",")]
+
+
+def _nonneg_int(text: str) -> int:
+    k = int(text)
+    if k < 0:
+        raise ValueError("must be >= 0")
+    return k
+
+
+def _arg(parse):
+    """argparse type running ``parse``: its ValueError or ArithmeticError
+    becomes a usage error that argparse reports with the option's name."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ArithmeticError) as exc:
+            why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+            raise argparse.ArgumentTypeError(f"invalid value {text!r} ({why})") from None
+
+    return convert
+
+
+def _joined(values) -> str:
+    return ",".join(map(str, values))
 
 
 def parse_side(spec: str):
@@ -108,7 +140,7 @@ def _emit(args, payload: dict) -> None:
         digest = hashlib.sha256(canon.encode()).hexdigest()
         manifest = {
             "config": {
-                k: v for k, v in vars(args).items() if k not in ("func", "manifest")
+                k: v for k, v in vars(args).items() if k not in ("func", "manifest", "_t0")
             },
             "version": __version__,
             "wall_time": round(time.time() - args._t0, 6),
@@ -123,44 +155,33 @@ def _emit(args, payload: dict) -> None:
 
 
 def cmd_tau(args) -> int:
-    r = parse_content(args.r)
-    spec = TauSpec(r, args.n, parse_side(args.t), parse_side(args.tstar))
+    spec = TauSpec(args.r, args.n, args.t, args.tstar)
     ts = tau_series(spec, args.deg)
     _emit(args, {"spec": spec.describe(), "deg": args.deg, "coefficients": ts.to_json()})
     return 0
 
 
 def cmd_hyper_pfs(args) -> int:
-    if args.x is not None:
-        xs = _frac_list(args.x)
-        ts = hyper_pfs(_frac_list(args.a), _frac_list(args.b), args.m, Eigs(xs), args.deg)
-        if len(xs) == 1 and xs[0] == 1:
-            coeffs = {str(d): _num_den(c) for d, c in enumerate(ts.one_variable_coeffs())}
-        else:
-            coeffs = ts.to_json()
+    side = Formal() if args.x is None else Eigs(args.x)
+    ts = hyper_pfs(args.a, args.b, args.m, side, args.deg)
+    if args.x == [1]:
+        coeffs = {str(d): _num_den(c) for d, c in enumerate(ts.one_variable_coeffs())}
     else:
-        ts = hyper_pfs(_frac_list(args.a), _frac_list(args.b), args.m, Formal(), args.deg)
         coeffs = ts.to_json()
-    _emit(args, {"family": "pFs", "a": args.a, "b": args.b, "M": args.m, "coefficients": coeffs})
+    _emit(args, {"family": "pFs", "a": _joined(args.a), "b": _joined(args.b), "M": args.m,
+                 "coefficients": coeffs})
     return 0
 
 
 def cmd_hyper_two(args) -> int:
-    ts = hyper_two_arg(
-        _frac_list(args.a), _frac_list(args.b), args.m,
-        _frac_list(args.x), _frac_list(args.y), args.deg,
-    )
+    ts = hyper_two_arg(args.a, args.b, args.m, args.x, args.y, args.deg)
     _emit(args, {"family": "two-argument", "coefficients": ts.to_json()})
     return 0
 
 
 def cmd_hyper_qphi(args) -> int:
-    ys = _frac_list(args.y) if args.y else None
-    ts = hyper_q(
-        _int_list(args.a), _int_list(args.b), Fraction(args.q), args.m,
-        _frac_list(args.x), ys, args.deg,
-    )
-    _emit(args, {"family": "qPhi", "q": args.q, "coefficients": ts.to_json()})
+    ts = hyper_q(args.a, args.b, args.q, args.m, args.x, args.y, args.deg)
+    _emit(args, {"family": "qPhi", "q": str(args.q), "coefficients": ts.to_json()})
     return 0
 
 
@@ -190,8 +211,7 @@ def cmd_model(args) -> int:
         _emit(args, {"model": "hciz", "n": args.n, "deg": args.deg, "series_equals_determinant": ok})
         return 0 if ok else 1
     if which == "nmm":
-        u = Times.of(_frac_list(args.u))
-        rep = models_mod.normal_matrix_map(u, args.deg)
+        rep = models_mod.normal_matrix_map(Times.of(args.u), args.deg)
         _emit(args, {
             "model": "normal-matrix",
             "r_table": {str(k): _num_den(v) for k, v in sorted(rep["r_table"].items())},
@@ -199,7 +219,7 @@ def cmd_model(args) -> int:
         })
         return 0
     if which == "gw":
-        ts = models_mod.gross_witten_series(args.n, _frac_list(args.x), args.deg)
+        ts = models_mod.gross_witten_series(args.n, args.x, args.deg)
         _emit(args, {"model": "gross-witten", "coefficients": ts.to_json()})
         return 0
     if which == "unitary":
@@ -207,16 +227,11 @@ def cmd_model(args) -> int:
         _emit(args, {"model": "unitary", "coefficients": ts.to_json()})
         return 0
     if which == "gen43":
-        r = parse_content(args.r)
-        rt = parse_content(args.rtilde) if args.rtilde else None
-        ts = models_mod.generalized_angle_integral(
-            args.kind, r, args.n, args.deg, a=Fraction(args.a) if args.a else None, rt=rt,
-        )
+        ts = models_mod.generalized_angle_integral(args.kind, args.r, args.n, args.deg, a=args.a, rt=args.rtilde)
         _emit(args, {"model": f"angle-integral/{args.kind}", "coefficients": ts.to_json()})
         return 0
     if which == "loop":
-        gs = [parse_content(s) for s in args.g]
-        vals = models_mod.loop_scalar_product(gs, args.n, args.deg)
+        vals = models_mod.loop_scalar_product(args.g, args.n, args.deg)
         _emit(args, {"model": "loop", "graded_trace": [_num_den(v) for v in vals]})
         return 0
     raise ValueError(which)
@@ -227,8 +242,6 @@ def cmd_fock(args) -> int:
     report: dict = {"suite": suite}
     failures: list = []
     if suite == "heisenberg":
-        import itertools
-
         for k, m in itertools.product([-3, -2, -1, 1, 2, 3], repeat=2):
             for lam in enumerate_partitions(2):
                 cut = 2 + abs(k) + abs(m)
@@ -240,8 +253,6 @@ def cmd_fock(args) -> int:
                 if not (comm + expect.scaled(-1)).is_zero():
                     failures.append({"k": k, "m": m, "state": str(lam)})
     elif suite == "lemma1":
-        import itertools
-
         for s in range(0, 4):
             for kk in range(0, s + 1):
                 for i_list in itertools.combinations(range(8), s):
@@ -258,29 +269,19 @@ def cmd_fock(args) -> int:
                         if not rep["ok"]:
                             failures.append({"i": i_list, "j": j_list})
     elif suite == "prop3":
-        r = parse_content(args.r)
         for lam in enumerate_partitions(args.deg):
             for mu in enumerate_partitions(args.deg):
                 v = fock_mod.FockVector.vacuum(args.n, args.deg + 1)
                 a = fock_mod.schur_of_operators(lam, "H*", v)
-                b = fock_mod.schur_of_operators(mu, "-A", v, r=r)
+                b = fock_mod.schur_of_operators(mu, "-A", v, r=args.r)
                 got = fock_mod.pair(a, b)
-                from .weights import content_product
-
-                expect = content_product(r, args.n, lam) if lam == mu else Fraction(0)
+                expect = content_product(args.r, args.n, lam) if lam == mu else Fraction(0)
                 if got != expect:
                     failures.append({"lambda": str(lam), "mu": str(mu)})
     elif suite == "trace":
-        r = parse_content(args.r)
-        from .weights import content_product
-        from .partitions import partitions_of
-
-        got = fock_mod.trace_h0(r, args.n, args.deg)
-        for d in range(args.deg + 1):
-            direct = sum(
-                (content_product(r, args.n, lam) for lam in partitions_of(d)),
-                start=Fraction(0),
-            )
+        got = fock_mod.trace_h0(args.r, args.n, args.deg)
+        want = models_mod.loop_scalar_product([args.r], args.n, args.deg)
+        for d, direct in enumerate(want):
             if got[d] != direct:
                 failures.append({"degree": d, "fock": _num_den(got[d]), "weights": _num_den(direct)})
     else:
@@ -294,34 +295,29 @@ def cmd_fock(args) -> int:
 def cmd_oracle(args) -> int:
     which = args.which
     if which == "haar":
-        import numpy as np
-
         gen = oracle_mod.RngStream(args.seed, 0).gen
         U = oracle_mod.sample_haar_unitary(args.n, gen)
         dev = float(np.linalg.norm(U @ U.conj().T - np.eye(args.n)))
         _emit(args, {"oracle": "haar", "n": args.n, "unitarity_deviation": dev})
         return 0 if dev < 1e-12 else 1
     if which in ("ginibre", "unitary-mc"):
-        lam = Partition.parse(args.l)
-        mu = Partition.parse(args.mu) if args.mu else None
-        A = _frac_list(args.A)
-        B = _frac_list(args.B)
         fn = (
             oracle_mod.mc_schur_ginibre_identity
             if which == "ginibre"
             else oracle_mod.mc_schur_unitary_identity
         )
-        rep = fn(lam, A, B, args.n, args.samples, seed=args.seed, mu=mu, sigma=args.sigma)
+        rep = fn(args.l, args.A, args.B, args.n, args.samples, seed=args.seed, mu=args.mu, sigma=args.sigma)
         _emit(args, rep)
         return 0 if rep["pass"] else 1
     if which == "wick":
+        powers = _joined(args.powers)
         try:
-            poly = oracle_mod.wick_gaussian_moment(_int_list(args.powers))
+            poly = oracle_mod.wick_gaussian_moment(args.powers)
         except ValueError as exc:
-            raise ValueError(f"--powers {args.powers!r}: {exc}") from None
+            raise ValueError(f"--powers {powers!r}: {exc}") from None
         _emit(args, {
             "oracle": "wick",
-            "powers": args.powers,
+            "powers": powers,
             "N_polynomial": [_num_den(c) for c in poly.coeffs],
             "note": "multiply by (N g)^(-sum/2) for the quartic propagator",
         })
@@ -330,39 +326,29 @@ def cmd_oracle(args) -> int:
         n, m = args.moment, args.moment2 if args.moment2 is not None else args.moment
         if args.contour == "imag":
             val = oracle_mod.moment_real_imaginary_limit(n, m)
-            import math
-
             target = -2j * math.pi * math.factorial(n) if n == m else 0j
             err = abs(val - target) / max(abs(target), 1.0)
             _emit(args, {"contour": "imag", "n": n, "m": m, "value": str(val), "target": str(target), "rel_error": err})
             return 0 if err < args.tol else 1
         if args.contour == "circle":
-            import math
-
             val = oracle_mod.moment_circle(n, m)
             target = -4 * math.pi**2 / math.factorial(n) if n == m else 0.0
             err = abs(val - target) / max(abs(target), 1.0)
             _emit(args, {"contour": "circle", "n": n, "m": m, "value": str(val), "rel_error": err})
             return 0 if err < args.tol else 1
         if args.contour == "unit":
-            import math
-
-            from .weights import pochhammer
-
-            a = Fraction(args.a_param)
+            a = args.a_param
             val = oracle_mod.moment_unit_interval(n, a)
             target = float(
                 Fraction(1) / (1 - a) * math.factorial(n) / pochhammer(2 - a, n)
             )
             err = abs(val - target) / max(abs(target), 1.0)
-            _emit(args, {"contour": "unit", "n": n, "a": args.a_param, "value": val,
+            _emit(args, {"contour": "unit", "n": n, "a": str(a), "value": val,
                          "target": target, "rel_error": err})
             return 0 if err < args.tol else 1
         if args.contour == "halfline":
-            av = _frac_list(args.A)
-            bv = _frac_list(args.B)
-            val = oracle_mod.moment_halfline_pfs(n, av, bv)
-            target = float(oracle_mod.halfline_exact(n, av, bv))
+            val = oracle_mod.moment_halfline_pfs(n, args.A, args.B)
+            target = float(oracle_mod.halfline_exact(n, args.A, args.B))
             err = abs(val - target) / max(abs(target), 1.0)
             _emit(args, {"contour": "halfline", "n": n, "value": val,
                          "target": target, "rel_error": err})
@@ -384,38 +370,35 @@ def _verify_one(name: str, args) -> dict:
             diff = lhs - rhs
             detail = f"first bad monomial: {sorted(diff.terms)[0]}"
     elif name == "hirota":
-        r = parse_content(args.r)
-        res = hirota_residual(r, args.n, args.deg)
+        res = hirota_residual(args.r, args.n, args.deg)
         if args.poison == "hirota":
             res = res + res.ring.var(0)
         ok = res.is_zero()
         if not ok:
             detail = f"nonzero residual monomials: {len(res.terms)}"
     elif name == "ode":
-        res = ode_residual(_frac_list(args.a), _frac_list(args.b), args.deg)
+        res = ode_residual(args.a, args.b, args.deg)
         if args.poison == "ode":
             res[0] += 1
         ok = all(v == 0 for v in res)
         if not ok:
             detail = f"residual degrees: {[i for i, v in enumerate(res) if v != 0][:5]}"
     elif name == "qdiff":
-        res = q_difference_residual(_int_list(args.qa), _int_list(args.qb), Fraction(args.q), args.deg)
+        res = q_difference_residual(args.qa, args.qb, args.q, args.deg)
         if args.poison == "qdiff":
             res[0] += 1
         ok = all(v == 0 for v in res)
         if not ok:
             detail = f"residual degrees: {[i for i, v in enumerate(res) if v != 0][:5]}"
     elif name == "det":
-        r = parse_content(args.r)
-        res = det_rep_two_side(r, args.n, args.n, args.deg)
+        res = det_rep_two_side(args.r, args.n, args.n, args.deg)
         if args.poison == "det":
             res.lhs = res.lhs + res.lhs.ring.var(0)
         ok = res.matches()
         if not ok:
             detail = "determinant/series mismatch"
     elif name == "symmetry":
-        r = parse_content(args.r)
-        rep = symmetry_checks(r, args.n, args.deg)
+        rep = symmetry_checks(args.r, args.n, args.deg)
         if args.poison == "symmetry":
             rep["swap"] = False
         ok = all(rep.values())
@@ -466,16 +449,18 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    fracs, ints, frac = _arg(_frac_list), _arg(_int_list), _arg(Fraction)
+    content, side, partition = _arg(parse_content), _arg(parse_side), _arg(Partition.parse)
     p = argparse.ArgumentParser(prog="taukit", description=__doc__)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--manifest", help="write a run manifest (config + digest) to this file")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("tau", help="truncated tau series")
-    sp.add_argument("--r", required=True)
+    sp.add_argument("--r", type=content, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--t", required=True)
-    sp.add_argument("--tstar", required=True)
+    sp.add_argument("--t", type=side, required=True)
+    sp.add_argument("--tstar", type=side, required=True)
     sp.add_argument("--deg", type=int, required=True)
     sp.set_defaults(func=cmd_tau)
 
@@ -483,27 +468,27 @@ def build_parser() -> argparse.ArgumentParser:
         dest="family", required=True
     )
     hp = hyper.add_parser("pfs")
-    hp.add_argument("--a", default="")
-    hp.add_argument("--b", default="")
+    hp.add_argument("--a", type=fracs, default="")
+    hp.add_argument("--b", type=fracs, default="")
     hp.add_argument("--m", type=int, default=0)
-    hp.add_argument("--x", default=None)
+    hp.add_argument("--x", type=fracs, default=None)
     hp.add_argument("--deg", type=int, required=True)
     hp.set_defaults(func=cmd_hyper_pfs)
     ht = hyper.add_parser("two")
-    ht.add_argument("--a", default="")
-    ht.add_argument("--b", default="")
+    ht.add_argument("--a", type=fracs, default="")
+    ht.add_argument("--b", type=fracs, default="")
     ht.add_argument("--m", type=int, default=0)
-    ht.add_argument("--x", required=True)
-    ht.add_argument("--y", required=True)
+    ht.add_argument("--x", type=fracs, required=True)
+    ht.add_argument("--y", type=fracs, required=True)
     ht.add_argument("--deg", type=int, required=True)
     ht.set_defaults(func=cmd_hyper_two)
     hq = hyper.add_parser("qphi")
-    hq.add_argument("--a", default="")
-    hq.add_argument("--b", default="")
-    hq.add_argument("--q", required=True)
+    hq.add_argument("--a", type=ints, default="")
+    hq.add_argument("--b", type=ints, default="")
+    hq.add_argument("--q", type=frac, required=True)
     hq.add_argument("--m", type=int, default=0)
-    hq.add_argument("--x", required=True)
-    hq.add_argument("--y", default=None)
+    hq.add_argument("--x", type=fracs, required=True)
+    hq.add_argument("--y", type=fracs, default=None)
     hq.add_argument("--deg", type=int, required=True)
     hq.set_defaults(func=cmd_hyper_qphi)
 
@@ -512,13 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--order", type=int, default=2)
     mp.add_argument("--deg", type=int, default=6)
     mp.add_argument("--n", type=int, default=2)
-    mp.add_argument("--u", default="")
-    mp.add_argument("--x", default="")
-    mp.add_argument("--r", default="one")
-    mp.add_argument("--rtilde", default=None)
-    mp.add_argument("--a", default=None)
+    mp.add_argument("--u", type=fracs, default="")
+    mp.add_argument("--x", type=fracs, default="")
+    mp.add_argument("--r", type=content, default="one")
+    mp.add_argument("--rtilde", type=content, default=None)
+    mp.add_argument("--a", type=frac, default=None)
     mp.add_argument("--kind", default="hciz", choices=["hciz", "complex", "gw", "gw_unit"])
-    mp.add_argument("--g", action="append", default=[])
+    mp.add_argument("--g", type=content, action="append", default=[])
     mp.add_argument("--check-oracle", action="store_true")
     mp.set_defaults(func=cmd_model)
 
@@ -526,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = fp.add_subparsers(dest="fockcmd", required=True)
     fv = fsub.add_parser("verify")
     fv.add_argument("--suite", required=True, choices=["heisenberg", "lemma1", "prop3", "trace"])
-    fv.add_argument("--r", default="one")
+    fv.add_argument("--r", type=content, default="one")
     fv.add_argument("--n", type=int, default=0)
     fv.add_argument("--deg", type=int, default=4)
     fv.set_defaults(func=cmd_fock)
@@ -534,19 +519,19 @@ def build_parser() -> argparse.ArgumentParser:
     op = sub.add_parser("oracle", help="Monte Carlo / Wick / quadrature oracles")
     op.add_argument("which", choices=["haar", "unitary-mc", "ginibre", "wick", "mu"])
     op.add_argument("--n", type=int, default=2)
-    op.add_argument("--l", default="[1]")
-    op.add_argument("--mu", default=None)
-    op.add_argument("--A", default="1,1/2")
-    op.add_argument("--B", default="1,1/3")
+    op.add_argument("--l", type=partition, default="[1]")
+    op.add_argument("--mu", type=partition, default=None)
+    op.add_argument("--A", type=fracs, default="1,1/2")
+    op.add_argument("--B", type=fracs, default="1,1/3")
     op.add_argument("--samples", type=int, default=100000)
     op.add_argument("--seed", type=int, default=0)
     op.add_argument("--sigma", type=float, default=3.0)
-    op.add_argument("--powers", default="4")
+    op.add_argument("--powers", type=ints, default="4")
     op.add_argument("--contour", default="imag",
                     choices=["imag", "circle", "unit", "halfline"])
-    op.add_argument("--moment", type=int, default=1)
-    op.add_argument("--moment2", type=int, default=None)
-    op.add_argument("--a-param", default="-1",
+    op.add_argument("--moment", type=_arg(_nonneg_int), default=1)
+    op.add_argument("--moment2", type=_arg(_nonneg_int), default=None)
+    op.add_argument("--a-param", type=frac, default="-1",
                     help="exponent parameter for the unit-interval measure")
     op.add_argument("--tol", type=float, default=1e-6)
     op.set_defaults(func=cmd_oracle)
@@ -555,12 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("what", choices=["cauchy", "hirota", "ode", "qdiff", "det", "symmetry", "all"])
     vp.add_argument("--deg", type=int, default=6)
     vp.add_argument("--n", type=int, default=1)
-    vp.add_argument("--r", default="rational:a=2")
-    vp.add_argument("--a", default="1/2,1/3")
-    vp.add_argument("--b", default="5/4")
-    vp.add_argument("--qa", default="1,2")
-    vp.add_argument("--qb", default="3")
-    vp.add_argument("--q", default="1/3")
+    vp.add_argument("--r", type=content, default="rational:a=2")
+    vp.add_argument("--a", type=fracs, default="1/2,1/3")
+    vp.add_argument("--b", type=fracs, default="5/4")
+    vp.add_argument("--qa", type=ints, default="1,2")
+    vp.add_argument("--qb", type=ints, default="3")
+    vp.add_argument("--q", type=frac, default="1/3")
     vp.add_argument("--profile", choices=["fast", "full"], default="fast",
                     help="full adds the Monte Carlo identity block to 'all'")
     vp.add_argument("--samples", type=int, default=20000)

@@ -24,6 +24,7 @@ from .symfun import (
     _num_den,
     exp_series,
     h_list,
+    inverse_series,
     schur,
 )
 from .tau import (
@@ -62,14 +63,8 @@ def gauss_closed_form(D: int) -> PolySeries:
     ring = PolyRing(["t1", "t2", "u1", "u2"], [1, 2, 1, 2], 2 * D)
     t1, t2, u1, u2 = (ring.var(i) for i in range(4))
     w = t2 * u2 * 4
-    # 1/(1 - w) and (1 - w)^(-1/2) as series in w
-    inv = ring.one()
-    term = ring.one()
-    while True:
-        term = term * w
-        if term.is_zero():
-            break
-        inv = inv + term
+    inv = inverse_series(1 - w)
+    # (1 - w)^(-1/2) as a series in w
     half = ring.one()
     term = ring.one()
     k = 0

@@ -82,6 +82,8 @@ def sample_haar_unitary_batch(n: int, count: int, gen: np.random.Generator) -> n
 def sample_ginibre_batch(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Complex Gaussian matrices with density exp(-Tr Z Z^+) pi^{-n^2}
     (unit-variance complex entries)."""
+    if n < 1:
+        raise ValueError(f"matrix size n must be >= 1, got n={n}")
     return (gen.standard_normal((count, n, n)) + 1j * gen.standard_normal((count, n, n))) / np.sqrt(2)
 
 

@@ -54,6 +54,9 @@ class Side:
     def describe(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def __repr__(self):
+        return self.describe()
+
 
 class Formal(Side):
     """Keep the side as formal times; the Schur factor stays symbolic."""
@@ -367,20 +370,6 @@ def qphi_one_var_coeffs(a: Sequence[int], b: Sequence[int], q, D: int) -> list[F
 # -- determinant representations -------------------------------------------
 
 
-def one_variable_tau_coeffs(r: ContentFunction, m: int, u_times: Times, D: int) -> list:
-    """Coefficients c_j of tau_r(m, t(x), t*) = sum_j c_j x^j for a single
-    eigenvalue: only single-row partitions survive, so
-    c_j = r(m) r(m+1) ... r(m+j-1) h_j(t*)."""
-    hs = h_list(u_times, D)
-    out = []
-    rho = Fraction(1)
-    for j in range(D + 1):
-        if j > 0:
-            rho *= r(m + j - 1)
-        out.append(rho * hs[j])
-    return out
-
-
 class DetRepResult:
     """Both sides of a determinant identity, as exact polynomials.
 
@@ -438,8 +427,9 @@ def det_rep_one_side(
     delta = _vandermonde(ring, list(range(N)))
     lhs = delta * series
     # determinant side
+    # one eigenvalue keeps only single rows: c_j = r(m) ... r(m+j-1) h_j(t*)
     col_coeffs = [
-        one_variable_tau_coeffs(r, M - k + 1, u_times, cap) for k in range(1, N + 1)
+        baker_akhiezer_dual(r, M - k + 1, u_times, cap) for k in range(1, N + 1)
     ]
     rows = []
     for i in range(N):

@@ -425,27 +425,13 @@ def _parse_base_content(spec: str) -> ContentFunction:
     if spec == "one":
         return ConstantOneContent()
     if spec.startswith("rational:"):
-        a, b = _parse_ab(spec[len("rational:"):])
-        return RationalContent([Fraction(x) for x in a], [Fraction(x) for x in b])
+        f = _parse_fields("rational", spec[len("rational:"):], {"a": Fraction, "b": Fraction})
+        return RationalContent(f.get("a", ()), f.get("b", ()))
     if spec.startswith("qrational:"):
-        body = spec[len("qrational:"):]
-        a, b, q = (), (), None
-        for field in body.split(";"):
-            field = field.strip()
-            if not field:
-                continue
-            key, _, val = field.partition("=")
-            if key == "a":
-                a = tuple(int(x) for x in val.split(",") if x)
-            elif key == "b":
-                b = tuple(int(x) for x in val.split(",") if x)
-            elif key == "q":
-                q = Fraction(val)
-            else:
-                raise ValueError(f"unknown qrational field {key!r}")
-        if q is None:
-            raise ValueError("qrational needs q=")
-        return QRationalContent(a, b, q)
+        f = _parse_fields("qrational", spec[len("qrational:"):], {"a": int, "b": int, "q": Fraction})
+        if len(f.get("q", ())) != 1:
+            raise ValueError("qrational needs one q=")
+        return QRationalContent(f.get("a", ()), f.get("b", ()), f["q"][0])
     if spec.startswith("table:"):
         body = spec[len("table:"):].strip()
         if body.startswith("{") and body.endswith("}"):
@@ -461,19 +447,16 @@ def _parse_base_content(spec: str) -> ContentFunction:
     raise ValueError(f"unknown content function spec {spec!r}")
 
 
-def _parse_ab(body: str) -> tuple[tuple, tuple]:
-    a: tuple = ()
-    b: tuple = ()
+def _parse_fields(kind: str, body: str, types: dict) -> dict:
+    """The "key=v1,v2;key=..." fields of a content spec, each value list read
+    by ``types[key]``; a key missing from ``types`` is an error naming it."""
+    out = {}
     for field in body.split(";"):
         field = field.strip()
         if not field:
             continue
         key, _, val = field.partition("=")
-        vals = tuple(Fraction(x) for x in val.split(",") if x)
-        if key == "a":
-            a = vals
-        elif key == "b":
-            b = vals
-        else:
-            raise ValueError(f"unknown rational field {key!r}")
-    return a, b
+        if key not in types:
+            raise ValueError(f"unknown {kind} field {key!r}")
+        out[key] = tuple(types[key](x) for x in val.split(",") if x)
+    return out

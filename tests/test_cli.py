@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -88,6 +89,7 @@ def test_manifest_digest(tmp_path, capsys):
     run_cli(capsys, "--manifest", str(mpath), "verify", "cauchy", "--deg", "5")
     m2 = json.loads(mpath.read_text())
     assert m1["digest"] == m2["digest"]
+    assert m1["config"] == m2["config"]
     assert m1["config"]["deg"] == 5
     assert "version" in m1
 
@@ -183,3 +185,88 @@ def test_routing_table_covers_every_operation():
     assert set(verify_choices) == {
         "cauchy", "hirota", "ode", "qdiff", "det", "symmetry", "all",
     }
+
+
+TAU = ["tau", "--n", "0", "--deg", "2"]
+
+# (option the message must name, argv); every value fails to parse or is out of range
+BAD_INPUTS = [
+    ("--a", ["hyper", "pfs", "--a", "1/2,y", "--deg", "2"]),
+    ("--b", ["hyper", "pfs", "--b", "1/0", "--deg", "2"]),
+    ("--x", ["hyper", "two", "--x", "1,z", "--y", "1", "--deg", "2"]),
+    ("--y", ["hyper", "two", "--x", "1", "--y", "q", "--deg", "2"]),
+    ("--a", ["hyper", "qphi", "--a", "x", "--q", "1/3", "--x", "1", "--deg", "2"]),
+    ("--q", ["hyper", "qphi", "--q", "1/0", "--x", "1", "--deg", "2"]),
+    ("--t", TAU + ["--r", "one", "--t", "ta:1/0", "--tstar", "t:2"]),
+    ("--tstar", TAU + ["--r", "one", "--t", "t:2", "--tstar", "eigs:1,x"]),
+    ("--r", TAU + ["--r", "one|shift:x", "--t", "t:2", "--tstar", "t:2"]),
+    ("--r", TAU + ["--r", "table:{1:x}", "--t", "t:2", "--tstar", "t:2"]),
+    ("--u", ["model", "nmm", "--u", "a"]),
+    ("--rtilde", ["model", "gen43", "--kind", "gw", "--rtilde", "qrational:a=1;c=2;q=1/2"]),
+    ("--a", ["model", "gen43", "--a", "x"]),
+    ("--g", ["model", "loop", "--g", "rational:a=1/0"]),
+    ("--r", ["fock", "verify", "--suite", "trace", "--r", "rational:a=x"]),
+    ("--l", ["oracle", "ginibre", "--l", "[x]"]),
+    ("--mu", ["oracle", "ginibre", "--mu", "[1,x]"]),
+    ("--A", ["oracle", "ginibre", "--A", "1,w"]),
+    ("--a-param", ["oracle", "mu", "--contour", "unit", "--a-param", "x"]),
+    ("--moment", ["oracle", "mu", "--moment", "-1"]),
+    ("--moment2", ["oracle", "mu", "--moment2", "-2"]),
+    ("--q", ["verify", "qdiff", "--q", "1/0"]),
+    ("--qa", ["verify", "qdiff", "--qa", "1,b"]),
+    ("--qb", ["verify", "qdiff", "--qb", "x"]),
+    ("--a", ["verify", "ode", "--a", "1/2,/"]),
+    ("--r", ["verify", "det", "--r", "rational:a=2|scale:1/0"]),
+]
+
+
+@pytest.mark.parametrize("option, argv", BAD_INPUTS, ids=[" ".join(a) for _, a in BAD_INPUTS])
+def test_bad_value_exits_two_naming_its_option(capsys, option, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: invalid value" in err, err
+
+
+def test_oracle_haar_bad_size_exits_two(capsys):
+    assert main(["oracle", "haar", "--n", "-1"]) == 2
+    assert "n=-1" in capsys.readouterr().err
+
+
+# sha256 of stdout, recorded before the options were converted by argparse
+GOLDEN_STDOUT = [
+    ("401eee47a654d25e5e924908b0d69b2d18ab5dc1c5d8ed426a43de3da8cfcc42",
+     ["tau", "--r", "rational:a=1/2;b=3", "--n", "1", "--t", "eigs:1/2,3", "--tstar", "ta:2", "--deg", "3"]),
+    ("8680f3f8f98665690f9cde76523ac933fc94be90b9a93d138ca6c68f53d2c83a",
+     ["tau", "--r", "linear|shift:1", "--n", "0", "--t", "t:3", "--tstar", "qgeo:1/3", "--deg", "3"]),
+    ("5dc82f49aa859ed0bb6d5bb16eee178397edca4c546e450749b78f8c50a989e2",
+     ["hyper", "pfs", "--a", "1/2,1/3", "--b", "5/4", "--x", "1", "--deg", "6"]),
+    ("0f2b7cfcc73a24af4de78aaf902722af000202a087fe5e63a89605deb5b729e1",
+     ["hyper", "pfs", "--a", "1/2", "--deg", "3"]),
+    ("fe0d28d1a4fc01a0bf1239f55e7436499e207c5069a19a778ec44655f903ec8b",
+     ["hyper", "two", "--a", "1/2", "--x", "1/2,1/5", "--y", "1/3,1/7", "--deg", "3"]),
+    ("e03bd4ec8a2a24061e0a139804164da8b6aa4727ff9c473f4763267f00489020",
+     ["hyper", "qphi", "--a", "1,2", "--b", "3", "--q", "1/3", "--x", "1", "--deg", "4"]),
+    ("ea6882c512d01cc75f043993d8ff3f5ee89020af0a1894ad20968506218de571",
+     ["hyper", "qphi", "--a", "1", "--q=-1/2", "--x", "1/2", "--y", "1", "--deg", "3"]),
+    ("f67db6ea8d69f85b2241a8eebc55ff038cfb6bb3631bb43606e4962c6337ddec",
+     ["model", "gen43", "--kind", "gw", "--r", "rational:a=1/2", "--rtilde", "qrational:a=1;b=2;q=1/3",
+      "--a", "3/2", "--n", "2", "--deg", "3"]),
+    ("f1af33edde3171b2312da93791000d006058c72742a0a893fada4e42ee0ff155",
+     ["model", "loop", "--g", "one", "--g", "rational:a=1/2|scale:2", "--n", "1", "--deg", "4"]),
+    ("28b07a7ca668df1043d69931dc205c568cc9c210d22fbb92a641c5e47e191443",
+     ["fock", "verify", "--suite", "trace", "--r", "table:{-3:1,-2:2,-1:1/3,0:1,1:2,2:1/3,3:5}",
+      "--n", "0", "--deg", "4"]),
+    ("f1e3f5a37934334c999441c8af934a27c9a7125bfb613316674a20d53f63d3e7",
+     ["oracle", "wick", "--powers", "4,2"]),
+    ("5a6c2f0c987d070bb522e37274a03cf061d088ae17673895eaf5e30708bd13a8",
+     ["oracle", "mu", "--contour", "unit", "--moment", "2", "--a-param=-2"]),
+    ("21070d6fff2e8ecb7517c38a4509a92b8370759e0623b40229a2926caac25835",
+     ["--format", "csv", "hyper", "pfs", "--a", "1/2,1/3", "--b", "5/4", "--x", "1", "--deg", "4"]),
+]
+
+
+@pytest.mark.parametrize("digest, argv", GOLDEN_STDOUT, ids=[" ".join(a) for _, a in GOLDEN_STDOUT])
+def test_golden_stdout(capsys, digest, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out

@@ -301,6 +301,5 @@ def test_tau_series_one_variable_coeffs_match_kernel():
     u = Times.weight_a(F(2), 7)
     ts = tau_series(TauSpec(r, 2, Eigs([F(1)]), WeightA(F(2))), 7)
     from taukit.symfun import h_list
-    from taukit.tau import one_variable_tau_coeffs
 
-    assert ts.one_variable_coeffs() == one_variable_tau_coeffs(r, 2, u, 7)
+    assert ts.one_variable_coeffs() == baker_akhiezer_dual(r, 2, u, 7)

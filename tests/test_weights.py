@@ -185,6 +185,16 @@ def test_parse_content_syntax():
         parse_content("nonsense:42")
 
 
+def test_parse_content_field_errors_name_the_field():
+    for spec, field in (("qrational:a=1;c=2;q=1/2", "qrational field 'c'"),
+                        ("rational:a=1;q=2", "rational field 'q'")):
+        with pytest.raises(ValueError, match=field):
+            parse_content(spec)
+    for spec in ("qrational:a=1", "qrational:q=1/2,1/3"):
+        with pytest.raises(ValueError, match="needs one q="):
+            parse_content(spec)
+
+
 def test_q_validation():
     with pytest.raises(ValueError):
         QRationalContent(a=[1], q=F(3, 2))
