@@ -15,11 +15,13 @@ from .symfun import (
     Poly1,
     Times,
     cauchy_truncated,
+    characters,
     e_list,
     exp_series,
     h_list,
     miwa,
     schur,
+    schur_expansion,
     schur_from_eigenvalues,
     skew_schur,
     standard_product,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -357,6 +358,14 @@ def cmd_oracle(args) -> int:
     raise ValueError(which)
 
 
+def _first_difference(lhs, rhs, left: str, right: str) -> str:
+    """The first monomial, in sorted order, where two series differ, with
+    the coefficient each side gives it."""
+    e = min((lhs - rhs).terms)
+    return (f"first differing monomial {e}: {left} {_num_den(lhs.coefficient(e))}"
+            f" != {right} {_num_den(rhs.coefficient(e))}")
+
+
 def _verify_one(name: str, args) -> dict:
     t0 = time.time()
     ok = True
@@ -367,15 +376,15 @@ def _verify_one(name: str, args) -> dict:
             lhs = lhs + lhs.ring.var(0)
         ok = lhs == rhs
         if not ok:
-            diff = lhs - rhs
-            detail = f"first bad monomial: {sorted(diff.terms)[0]}"
+            detail = _first_difference(lhs, rhs, "exponential", "Schur sum")
     elif name == "hirota":
         res = hirota_residual(args.r, args.n, args.deg)
         if args.poison == "hirota":
             res = res + res.ring.var(0)
         ok = res.is_zero()
         if not ok:
-            detail = f"nonzero residual monomials: {len(res.terms)}"
+            detail = (f"nonzero residual monomials: {len(res.terms)}; "
+                      + _first_difference(res, res.ring.zero(), "residual", "expected"))
     elif name == "ode":
         res = ode_residual(args.a, args.b, args.deg)
         if args.poison == "ode":
@@ -396,7 +405,8 @@ def _verify_one(name: str, args) -> dict:
             res.lhs = res.lhs + res.lhs.ring.var(0)
         ok = res.matches()
         if not ok:
-            detail = "determinant/series mismatch"
+            detail = _first_difference(res.lhs.filter_degree(res.degree), res.rhs.filter_degree(res.degree),
+                                       "series", "determinant")
     elif name == "symmetry":
         rep = symmetry_checks(args.r, args.n, args.deg)
         if args.poison == "symmetry":
@@ -557,10 +567,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: its tree does not depend on argv, so it is
+    built on the first call of ``main`` and reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args._t0 = time.time()

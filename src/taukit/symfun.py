@@ -11,7 +11,19 @@ Everything here is exact rational arithmetic.  The two workhorses are
   the Newton recurrences, so every Schur function of the same Times shares
   them.
 
-Schur functions are evaluated through one Jacobi-Trudi builder: the
+The public ``PolySeries(ring, terms)`` drops zero coefficients and monomials
+above the ring cap.  Sums, differences, products, scalar multiples and
+derivatives build results that already satisfy both conditions, so they use
+a private trusted constructor that skips this filter; a product sorts the
+larger factor by weighted degree once and pairs each term of the other only
+with the terms that fit under the cap.
+
+Schur series in formal times, sum_lambda c_lambda s_lambda(t) and the
+two-sided sum_lambda c_lambda s_lambda(t) s_lambda(t*), are expanded by
+``schur_expansion`` from the integer character tables ``characters(d)``
+(Murnaghan-Nakayama rule, memoised per d): [t^e] s_lambda is
+chi^lambda_mu / prod_m e_m!, so each degree is one block of integer sums.
+Single Schur functions are evaluated through one Jacobi-Trudi builder: the
 h-determinant on lambda or the e-determinant on lambda', whichever is
 shorter, and the shifted h-determinant for skew shapes.  Eigenvalue
 specializations use the bialternant ratio with a Miwa-map fallback.
@@ -19,10 +31,15 @@ specializations use the bialternant ratio with a Miwa-map fallback.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
+from itertools import islice
+from math import factorial, lcm, prod
+from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .partitions import Partition, SkewShape, enumerate_partitions
+from .partitions import Partition, SkewShape, enumerate_partitions, partitions_of
 
 Scalar = Union[int, Fraction]
 _EMPTY = Partition()
@@ -95,7 +112,7 @@ class PolyRing:
         return self.var(self.names.index(name))
 
     def degree_of(self, expo: tuple[int, ...]) -> int:
-        return sum(e * w for e, w in zip(expo, self.weights))
+        return sum(map(mul, expo, self.weights))
 
     def __eq__(self, other):
         return (
@@ -130,6 +147,15 @@ class PolySeries:
             if c != 0 and ring.degree_of(e) <= ring.cap
         }
 
+    @classmethod
+    def _trusted(cls, ring: PolyRing, terms: dict) -> "PolySeries":
+        """Wrap ``terms`` as they are: the caller guarantees that no
+        coefficient is zero and no monomial lies above the ring cap."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.terms = terms
+        return out
+
     # -- ring arithmetic -----------------------------------------------
 
     def _coerce(self, other) -> "PolySeries":
@@ -143,17 +169,17 @@ class PolySeries:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return PolySeries(self.ring, out)
+                del out[e]
+        return PolySeries._trusted(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolySeries(self.ring, {e: -c for e, c in self.terms.items()})
+        return PolySeries._trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -166,27 +192,25 @@ class PolySeries:
             c = _as_fraction(other)
             if not c:
                 return self.ring.zero()
-            return PolySeries(self.ring, {e: v * c for e, v in self.terms.items()})
+            return PolySeries._trusted(self.ring, {e: v * c for e, v in self.terms.items()})
         if other.ring != self.ring:
             raise ValueError("PolySeries from different rings")
         ring = self.ring
         cap = ring.cap
-        out: dict = {}
-        # iterate the smaller factor outside
+        # the smaller factor runs outside; the larger one is sorted by weighted
+        # degree once, so each outer term meets only the terms that fit under
+        # the cap, a prefix of that order
         a, b = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        bdeg = {e: ring.degree_of(e) for e in b}
+        degree_of = ring.degree_of
+        graded = sorted(((degree_of(e), e, c) for e, c in b.items()), key=itemgetter(0))
+        degrees = [d for d, _, _ in graded]
+        out: dict = {}
         for ea, ca in a.items():
-            da = ring.degree_of(ea)
-            for eb, cb in b.items():
-                if da + bdeg[eb] > cap:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return PolySeries(ring, out)
+            for _, eb, cb in islice(graded, bisect_right(degrees, cap - degree_of(ea))):
+                e = tuple(map(add, ea, eb))
+                s = out.get(e)
+                out[e] = ca * cb if s is None else s + ca * cb
+        return PolySeries._trusted(ring, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -227,7 +251,7 @@ class PolySeries:
             e2 = list(e)
             e2[i] -= 1
             out[tuple(e2)] = c * e[i]
-        return PolySeries(self.ring, out)
+        return PolySeries._trusted(self.ring, out)
 
     def coefficient(self, expo: tuple[int, ...]) -> Fraction:
         return self.terms.get(tuple(expo), Fraction(0))
@@ -550,8 +574,6 @@ def standard_product(f: PolySeries, g: PolySeries) -> Fraction:
     """
     if f.ring != g.ring:
         raise ValueError("scalar product needs a common ring")
-    from math import factorial
-
     weights = f.ring.weights
     total = Fraction(0)
     for e, cf in f.terms.items():
@@ -564,6 +586,114 @@ def standard_product(f: PolySeries, g: PolySeries) -> Fraction:
                 z *= Fraction(factorial(em), m**em)
         total += cf * cg * z
     return total
+
+
+@cache
+def characters(d: int) -> tuple[tuple[Partition, ...], tuple[tuple[int, ...], ...]]:
+    """The integer character table of the symmetric group S_d.
+
+    Returns (parts, table): parts are the partitions of d in reverse-
+    lexicographic order and table[i][j] = chi^lambda_mu for lambda = parts[i]
+    and the cycle type mu = parts[j].  Built by the Murnaghan-Nakayama rule on
+    beta-numbers (Macdonald, Symmetric Functions, I.7): with k = mu_1,
+    chi^lambda_mu = sum (-1)^ht chi^(lambda - strip)_(mu - k) over the border
+    strips of length k, each one a bead moved from b down to a free b - k,
+    of height the number of beads it passes.  Memoised per d.
+    """
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    parts = tuple(partitions_of(d))
+    if d == 0:
+        return parts, ((1,),)
+    lower = {}  # k -> (table of d - k, position of each partition of d - k in it)
+    rows = []
+    for lam in parts:
+        n = lam.length
+        beads = [p + n - i for i, p in enumerate(lam.parts, start=1)]
+        strips: dict[int, list] = {}  # k -> [(sign, row of lambda - strip in the table of d - k)]
+        row = []
+        for mu in parts:
+            k = mu.parts[0]
+            if k not in lower:
+                sub_parts, sub_table = characters(d - k)
+                lower[k] = sub_table, {p.parts: i for i, p in enumerate(sub_parts)}
+            sub_table, sub_index = lower[k]
+            if k not in strips:
+                strips[k] = [
+                    (sign, sub_table[sub_index[nu]]) for sign, nu in _remove_strips(beads, k)
+                ]
+            j = sub_index[mu.parts[1:]]
+            row.append(sum(sign * sub_row[j] for sign, sub_row in strips[k]))
+        rows.append(tuple(row))
+    return parts, tuple(rows)
+
+
+def _remove_strips(beads: list[int], k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(sign, parts) of every partition left by removing a border strip of
+    length k from the partition with these beta-numbers."""
+    out = []
+    taken = set(beads)
+    n = len(beads)
+    for b in beads:
+        if b < k or b - k in taken:
+            continue
+        height = sum(1 for c in beads if b - k < c < b)
+        moved = sorted((b - k if c == b else c for c in beads), reverse=True)
+        nu = tuple(x - (n - i) for i, x in enumerate(moved, start=1))
+        out.append((-1 if height % 2 else 1, tuple(p for p in nu if p)))
+    return out
+
+
+def schur_expansion(ring: PolyRing, coeffs: dict, sides: int) -> PolySeries:
+    """sum_lambda c_lambda s_lambda(t) in a times ring (sides = 1), or
+    sum_lambda c_lambda s_lambda(t) s_lambda(t*) in a bivariate times ring
+    whose upper half of the variables is the t* block (sides = 2).
+
+    The variables must be times t_m of weight m.  In times coordinates
+    [t^e] s_lambda = chi^lambda_mu / prod_m e_m!, where mu has e_m parts m,
+    so the degree-d part is X_d^T c (one side) or X_d^T diag(c) X_d (two
+    sides) for the integer character table X_d.  Each degree brings its
+    c_lambda to one common denominator L, sums Python ints and emits one
+    Fraction per monomial.  Parts larger than the block width and degrees
+    above the ring cap are dropped.
+    """
+    K = ring.nvars() // sides
+    if ring.weights != tuple(range(1, K + 1)) * sides:
+        raise ValueError("schur_expansion needs a ring of times t_m of weight m")
+    graded: dict[int, list] = {}
+    for lam, c in coeffs.items():
+        if c:
+            graded.setdefault(lam.weight, []).append((lam, _as_fraction(c)))
+    out: dict = {}
+    for d in sorted(graded):
+        if d * sides > ring.cap:
+            continue
+        parts, table = characters(d)
+        row_of = {p: row for p, row in zip(parts, table)}
+        entries = graded[d]
+        L = lcm(*(c.denominator for _, c in entries))
+        scaled = [c.numerator * (L // c.denominator) for _, c in entries]
+        rows = [row_of[lam] for lam, _ in entries]
+        columns = []  # (exponents of mu, prod_m e_m!, chi^lambda_mu over the entries)
+        for j, mu in enumerate(parts):
+            if mu.length and mu.parts[0] > K:
+                continue
+            expo = [0] * K
+            for p in mu.parts:
+                expo[p - 1] += 1
+            columns.append((tuple(expo), prod(map(factorial, expo)), [row[j] for row in rows]))
+        for et, ft, ct in columns:
+            weighted = list(map(mul, scaled, ct))
+            if sides == 1:
+                acc = sum(weighted)
+                if acc:
+                    out[et] = Fraction(acc, L * ft)
+                continue
+            for eu, fu, cu in columns:
+                acc = sum(map(mul, weighted, cu))
+                if acc:
+                    out[et + eu] = Fraction(acc, L * ft * fu)
+    return PolySeries._trusted(ring, out)
 
 
 def cauchy_truncated(D: int, K: Optional[int] = None) -> tuple[PolySeries, PolySeries]:
@@ -580,34 +710,8 @@ def cauchy_truncated(D: int, K: Optional[int] = None) -> tuple[PolySeries, PolyS
     for m in range(1, K + 1):
         f = f + (tsym.get(m) * usym.get(m)) * m
     lhs = exp_series(f)
-    rhs = ring.zero()
-    tring = PolyRing.times_ring(K, cap=D)
-    tonly = Times.symbolic(tring, K)
-    for lam in enumerate_partitions(D):
-        s = schur(lam, tonly)
-        if not isinstance(s, PolySeries):
-            s = tring.const(s)
-        if s.is_zero():
-            continue
-        rhs = rhs + _cross(ring, K, s, s)
+    rhs = schur_expansion(ring, {lam: 1 for lam in enumerate_partitions(D)}, 2)
     return lhs, rhs
-
-
-def _cross(ring: PolyRing, ring_K: int, st: PolySeries, su: PolySeries) -> PolySeries:
-    """st(t) * su(t*) embedded into the bivariate ring (u = upper block),
-    each factor's exponents zero-padded to the block width ring_K."""
-    ts = [(tuple(e) + (0,) * (ring_K - len(e)), c) for e, c in st.terms.items()]
-    us = [(tuple(e) + (0,) * (ring_K - len(e)), c) for e, c in su.terms.items()]
-    out: dict = {}
-    for et, ct in ts:
-        for eu, cu in us:
-            e = et + eu
-            if ring.degree_of(e) > ring.cap:
-                continue
-            c = ct * cu
-            if c:
-                out[e] = out.get(e, Fraction(0)) + c
-    return PolySeries(ring, out)
 
 
 class Poly1:

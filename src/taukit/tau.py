@@ -23,12 +23,12 @@ from .symfun import (
     PolySeries,
     Times,
     _as_fraction,
-    _cross,
     _det,
     _num_den,
     h_list,
     miwa,
     schur,
+    schur_expansion,
 )
 from .weights import (
     ContentFunction,
@@ -181,25 +181,7 @@ class TauSeries:
         if nf == 0:
             total = sum(self.coeffs.values(), start=Fraction(0))
             return ring.const(total)
-        if nf == 1:
-            K = min(self.D, ring.nvars())
-            tsym = Times.symbolic(ring, max(K, 1))
-            out = ring.zero()
-            for lam, c in self.coeffs.items():
-                s = schur(lam, tsym)
-                out = out + s * c
-            return out
-        ring_K = ring.nvars() // 2
-        K = min(self.D, ring_K)
-        small = PolyRing.times_ring(max(K, 1), cap=self.D)
-        ssym = Times.symbolic(small, max(K, 1))
-        out = ring.zero()
-        for lam, c in self.coeffs.items():
-            s = schur(lam, ssym)
-            if not isinstance(s, PolySeries):
-                s = small.const(s)
-            out = out + _cross(ring, ring_K, s, s) * c
-        return out
+        return schur_expansion(ring, self.coeffs, nf)
 
     def one_variable_coeffs(self) -> list[Fraction]:
         """Coefficients of (x)^m for a single-eigenvalue series (both sides

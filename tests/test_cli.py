@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import taukit
 from taukit.cli import main, parse_side
 from taukit.tau import Eigs, Formal, QGeo, TInf, WeightA
 
@@ -58,12 +63,21 @@ def test_verify_cauchy_exit_zero(capsys):
     assert json.loads(out)["pass"] is True
 
 
+POISON_WITNESS = {
+    "hirota": "nonzero residual monomials: 1; first differing monomial (1, 0, 0, 0, 0, 0, 0, 0): "
+              "residual 1/1 != expected 0/1",
+    "det": "first differing monomial (1, 0): series 1/1 != determinant 0/1",
+}
+
+
 def test_verify_poison_exits_one(capsys):
-    code, out = run_cli(capsys, "verify", "hirota", "--deg", "4", "--poison", "hirota")
-    assert code == 1
-    data = json.loads(out)
-    assert data["pass"] is False
-    assert data["reports"][0]["detail"]
+    # a failing check names its first differing monomial with both values
+    for check, witness in POISON_WITNESS.items():
+        code, out = run_cli(capsys, "verify", check, "--deg", "4", "--poison", check)
+        assert code == 1
+        data = json.loads(out)
+        assert data["pass"] is False
+        assert data["reports"][0]["detail"] == witness
 
 
 def test_verify_all_fast(capsys):
@@ -270,3 +284,34 @@ def test_golden_stdout(capsys, digest, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+# valid and bad commands alternate; the parser is built once per process, so
+# each must still behave exactly as in a fresh process
+ONE_PROCESS = [
+    ["model", "unitary", "--n", "2", "--deg", "4"],
+    ["tau", "--r", "one", "--n", "0", "--t", "ta:1/0", "--tstar", "t:2", "--deg", "2"],
+    ["hyper", "pfs", "--a", "1/2", "--deg", "3"],
+    ["no-such-command"],
+    ["model", "unitary", "--n", "2", "--deg", "4"],
+    ["tau", "--n", "0", "--deg", "2"],
+    ["oracle", "wick", "--powers", "4,2"],
+    ["tau", "--r", "one", "--n", "0", "--t", "inf", "--tstar", "qgeo:2", "--deg", "2"],
+    ["hyper", "two", "--a", "1/2", "--x", "1/2,1/5", "--y", "1/3,1/7", "--deg", "3"],
+]
+
+
+def test_commands_in_one_process_match_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(taukit.__file__).parents[1]))
+    codes = []
+    for argv in ONE_PROCESS:
+        code = main(argv)
+        got = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from taukit.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 2, 0, 2, 0, 2, 0]

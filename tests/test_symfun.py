@@ -12,16 +12,19 @@ from taukit.symfun import (
     Times,
     _det,
     cauchy_truncated,
+    characters,
     e_list,
     exp_series,
     h_list,
     inverse_series,
     miwa,
     schur,
+    schur_expansion,
     schur_from_eigenvalues,
     skew_schur,
     standard_product,
 )
+from taukit.weights import hook_product
 
 
 def sym_ring(K, cap=None):
@@ -235,3 +238,61 @@ def test_cached_symmetric_lists_grow_to_fresh_ones(values, steps, formal):
 def test_cauchy_property(D):
     lhs, rhs = cauchy_truncated(D)
     assert lhs == rhs
+
+
+partitions_to_10 = st.sampled_from(list(enumerate_partitions(10)))
+
+
+@given(partitions_to_10, st.integers(1, 12), st.integers(0, 12), rationals)
+@settings(max_examples=60, deadline=None)
+def test_character_expansion_equals_jacobi_trudi(lam, K, cap, c):
+    # [t^e] s_lambda = chi^lambda_mu / prod_m e_m!; parts above K and degrees
+    # above the cap drop out of both sides
+    ring, t = sym_ring(K, cap=cap)
+    assert schur_expansion(ring, {lam: c}, 1) == as_series(ring, schur(lam, t)) * c, lam
+
+
+def test_character_table_orthogonality_and_degrees():
+    # sum_lambda chi^lambda_mu chi^lambda_nu = delta_{mu nu} z_mu, and
+    # chi^lambda on the identity class is the hook-length count d!/H_lambda
+    for d in range(11):
+        parts, table = characters(d)
+        assert parts == tuple(partitions_of(d))
+        for j, mu in enumerate(parts):
+            z = 1
+            for m, e in mu.multiplicities().items():
+                z *= m**e * factorial(e)
+            for k in range(len(parts)):
+                dot = sum(row[j] * row[k] for row in table)
+                assert dot == (z if j == k else 0), (d, mu, parts[k])
+        for lam, row in zip(parts, table):
+            assert row[-1] == F(factorial(d), hook_product(lam))
+    with pytest.raises(ValueError):
+        characters(-1)
+
+
+small_ring = PolyRing(["a", "b", "c"], [1, 2, 1], 5)
+exponents = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 3))
+small_series = st.dictionaries(exponents, st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2, 3)]),
+                               max_size=8).map(lambda terms: PolySeries(small_ring, terms))
+
+
+def naive_product(f, g):
+    out = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, F(0)) + ca * cb
+    return PolySeries(f.ring, out)
+
+
+@given(small_series, small_series, st.sampled_from([F(0), F(3), F(-1, 2)]), st.integers(0, 2))
+@settings(max_examples=80, deadline=None)
+def test_polyseries_results_are_already_filtered(f, g, c, i):
+    # +, -, *, scalar * and diff build their results without the public
+    # filter; re-filtering must change nothing
+    results = [f + g, f - g, f + (-f), f * g, (f + g) * (f - g), f * c, c * g, f.diff(i), -f]
+    for res in results:
+        assert res == PolySeries(small_ring, res.terms), res.terms
+    assert f * g == naive_product(f, g)
+    assert (f + g) * (f - g) == naive_product(f + g, f - g)

@@ -303,3 +303,58 @@ def test_tau_series_one_variable_coeffs_match_kernel():
     from taukit.symfun import h_list
 
     assert ts.one_variable_coeffs() == baker_akhiezer_dual(r, 2, u, 7)
+
+
+def _cross(ring, ring_K, st, su):
+    """st(t) * su(t*) in the bivariate ring, each factor zero-padded to ring_K."""
+    ts = [(tuple(e) + (0,) * (ring_K - len(e)), c) for e, c in st.terms.items()]
+    us = [(tuple(e) + (0,) * (ring_K - len(e)), c) for e, c in su.terms.items()]
+    out = {}
+    for et, ct in ts:
+        for eu, cu in us:
+            e = et + eu
+            if ring.degree_of(e) <= ring.cap:
+                out[e] = out.get(e, F(0)) + ct * cu
+    return PolySeries(ring, out)
+
+
+def jacobi_trudi_polyseries(ts, ring):
+    """The reference expansion: one Jacobi-Trudi determinant per lambda, and
+    for two formal sides its cross product with itself."""
+    if ts.n_formal_sides() == 1:
+        K = min(ts.D, ring.nvars())
+        tsym = Times.symbolic(ring, max(K, 1))
+        out = ring.zero()
+        for lam, c in ts.coeffs.items():
+            out = out + schur(lam, tsym) * c
+        return out
+    ring_K = ring.nvars() // 2
+    K = min(ts.D, ring_K)
+    small = PolyRing.times_ring(max(K, 1), cap=ts.D)
+    ssym = Times.symbolic(small, max(K, 1))
+    out = ring.zero()
+    for lam, c in ts.coeffs.items():
+        s = schur(lam, ssym)
+        if not isinstance(s, PolySeries):
+            s = small.const(s)
+        out = out + _cross(ring, ring_K, s, s) * c
+    return out
+
+
+@pytest.mark.parametrize("sides", [1, 2])
+@pytest.mark.parametrize("ring_K", [4, 6, 8])
+@pytest.mark.parametrize("r, n", [
+    (RationalContent([F(1, 2)], [F(7, 2)]), 1),  # no zero: every lambda up to D
+    (LIN, 2),  # r(0) = 0: at most two rows
+    (RationalContent([-3]), 1),  # r(3) = 0: at most two columns
+])
+def test_as_polyseries_matches_jacobi_trudi(sides, ring_K, r, n):
+    D = 6
+    if sides == 2:
+        spec, ring = TauSpec(r, n, Formal(), Formal()), PolyRing.bi_times_ring(ring_K)
+    else:
+        spec, ring = TauSpec(r, n, Formal(), WeightA(F(3, 2))), PolyRing.times_ring(ring_K)
+    ts = tau_series(spec, D)
+    got = ts.as_polyseries(ring)
+    assert got == jacobi_trudi_polyseries(ts, ring)
+    assert got.terms  # a nonzero expansion is compared
