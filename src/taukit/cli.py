@@ -339,7 +339,10 @@ def cmd_oracle(args) -> int:
             return 0 if err < args.tol else 1
         if args.contour == "unit":
             a = args.a_param
-            val = oracle_mod.moment_unit_interval(n, a)
+            try:
+                val = oracle_mod.moment_unit_interval(n, a)
+            except ValueError as exc:
+                raise ValueError(f"--a-param {_num_den(a)}: {exc}") from None
             target = float(
                 Fraction(1) / (1 - a) * math.factorial(n) / pochhammer(2 - a, n)
             )
@@ -405,8 +408,7 @@ def _verify_one(name: str, args) -> dict:
             res.lhs = res.lhs + res.lhs.ring.var(0)
         ok = res.matches()
         if not ok:
-            detail = _first_difference(res.lhs.filter_degree(res.degree), res.rhs.filter_degree(res.degree),
-                                       "series", "determinant")
+            detail = _first_difference(res.lhs, res.rhs, "series", "determinant")
     elif name == "symmetry":
         rep = symmetry_checks(args.r, args.n, args.deg)
         if args.poison == "symmetry":

@@ -248,15 +248,6 @@ class FockOperator:
     def diagonal(cls, fn: Callable) -> "FockOperator":
         return cls("diag", diag_fn=fn)
 
-    def weight_shift(self) -> int:
-        if self.kind == "H":
-            return -self.m
-        if self.kind == "mA":
-            return self.m
-        if self.kind == "At":
-            return -self.m
-        return 0
-
     def apply(self, v: FockVector) -> FockVector:
         out: dict = {}
         truncated = v.truncated

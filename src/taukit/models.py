@@ -312,7 +312,6 @@ def generalized_angle_integral(
     D: int,
     a=None,
     rt: Optional[ContentFunction] = None,
-    swap_sides: bool = False,
 ) -> TauSeries:
     """Angle-averaged tau integrals with composed content functions.
 
@@ -320,7 +319,6 @@ def generalized_angle_integral(
           "complex" (Gaussian average, weight (a)_lam H_lam-side r_lam),
           "gw" (two-tau average, weight r rtilde composed), or
           "gw_unit" (X Y = I_n case: plain product weight r rtilde).
-    swap_sides realizes the t <-> t* variants by argument swap.
     """
     if kind == "hciz":
         comp = angle_hciz_average(r, a, n)
@@ -336,8 +334,7 @@ def generalized_angle_integral(
         comp = r * rt
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    tside, uside = Formal(), Formal()
-    spec = TauSpec(comp, n, uside if swap_sides else tside, tside if swap_sides else uside)
+    spec = TauSpec(comp, n, Formal(), Formal())
     # the averaged integrals carry the hard l(lambda) <= n cut of the
     # underlying unitary/Gaussian integral; the XY = I_n case is a plain tau
     cap = None if kind == "gw_unit" else n

@@ -385,7 +385,9 @@ def moment_circle(n: int, m: int, grid: int = 256) -> complex:
 
 
 def moment_unit_interval(n: int, a: Fraction) -> float:
-    """int_0^1 x^n (1-x)^(-a) dx for Re a < 1 (the 1F0 measure)."""
+    """int_0^1 x^n (1-x)^(-a) dx for a < 1 (the 1F0 measure)."""
+    if a >= 1:
+        raise ValueError("the integral diverges unless a < 1")
     from scipy import integrate
 
     af = float(a)

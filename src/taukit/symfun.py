@@ -108,9 +108,6 @@ class PolyRing:
         e[i] = 1
         return PolySeries(self, {tuple(e): Fraction(1)})
 
-    def var_named(self, name: str) -> "PolySeries":
-        return self.var(self.names.index(name))
-
     def degree_of(self, expo: tuple[int, ...]) -> int:
         return sum(map(mul, expo, self.weights))
 
@@ -258,18 +255,6 @@ class PolySeries:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ring.nvars(), Fraction(0))
-
-    def valuation(self) -> int:
-        """Smallest weighted degree with a nonzero coefficient (cap+1 if zero)."""
-        if not self.terms:
-            return self.ring.cap + 1
-        return min(self.ring.degree_of(e) for e in self.terms)
-
-    def filter_degree(self, dmax: int) -> "PolySeries":
-        return PolySeries(
-            self.ring,
-            {e: c for e, c in self.terms.items() if self.ring.degree_of(e) <= dmax},
-        )
 
     def scale_vars(self, factors: Sequence[Fraction]) -> "PolySeries":
         """Substitute x_i -> factors[i] * x_i."""
@@ -440,17 +425,11 @@ class Times:
         return f"Times({list(self.entries)})"
 
 
-def miwa(xs: Sequence, K: int, sign: int = 1) -> Times:
-    """Map eigenvalues to higher times via m t_m = +/- sum_i x_i^m."""
+def miwa(xs: Sequence[Fraction], K: int) -> Times:
+    """Map eigenvalues to higher times via m t_m = sum_i x_i^m."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    entries = []
-    for m in range(1, K + 1):
-        s = sum((x ** m for x in xs), start=Fraction(0))
-        entries.append(sign * s / m if not isinstance(s, PolySeries) else s * Fraction(sign, m))
-    return Times(entries)
+    return Times([sum((x**m for x in xs), start=Fraction(0)) / m for m in range(1, K + 1)])
 
 
 def h_list(t: Times, D: int) -> list:

@@ -356,26 +356,24 @@ class DetRepResult:
     """Both sides of a determinant identity, as exact polynomials.
 
     ``lhs`` is the Vandermonde-cleared series side, ``rhs`` the determinant
-    side including its constant prefactor; ``matches`` compares them through
-    the stated degree.
+    side including its constant prefactor.  Both live in a ring whose cap is
+    the degree the identity is compared through, so they must be equal.
     """
 
-    def __init__(self, lhs: PolySeries, rhs: PolySeries, degree: int, prefactor):
+    def __init__(self, lhs: PolySeries, rhs: PolySeries, prefactor):
         self.lhs = lhs
         self.rhs = rhs
-        self.degree = degree
         self.prefactor = prefactor
 
     def matches(self) -> bool:
-        return self.lhs.filter_degree(self.degree) == self.rhs.filter_degree(self.degree)
+        return self.lhs == self.rhs
 
 
-def _vandermonde(ring: PolyRing, idx: Sequence[int]) -> PolySeries:
-    out = ring.one()
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            out = out * (ring.var(idx[i]) - ring.var(idx[j]))
-    return out
+def _alternant(xs: Sequence[PolySeries], lam: Partition):
+    """Delta(x) s_lambda(x) = det(x_i^(lambda_j + N - j)), the bialternant
+    formula (Macdonald, Symmetric Functions, I.3), for l(lambda) <= N."""
+    N = len(xs)
+    return _det([[x ** (lam.part(j) + N - j) for j in range(1, N + 1)] for x in xs])
 
 
 def det_rep_one_side(
@@ -399,15 +397,12 @@ def det_rep_one_side(
     if u_times is None:
         raise ValueError("the t* side must be specialized for this identity")
     # series side
-    t_times = miwa(xs, cap)
-    series = ring.zero()
+    lhs = ring.zero()
     for lam, c in _weighted_partitions(r, M, D, N):
         su = schur(lam, u_times)
         if su == 0:
             continue
-        series = series + schur(lam, t_times) * (c * su)
-    delta = _vandermonde(ring, list(range(N)))
-    lhs = delta * series
+        lhs = lhs + _alternant(xs, lam) * (c * su)
     # determinant side
     # one eigenvalue keeps only single rows: c_j = r(m) ... r(m+j-1) h_j(t*)
     col_coeffs = [
@@ -425,7 +420,7 @@ def det_rep_one_side(
             row.append((xs[i] ** (N - k)) * acc)
         rows.append(row)
     rhs = _det(rows)
-    return DetRepResult(lhs, rhs, cap, Fraction(1))
+    return DetRepResult(lhs, rhs, Fraction(1))
 
 
 def det_two_side_prefactor(r: ContentFunction, M: int, N: int) -> Fraction:
@@ -460,14 +455,9 @@ def det_rep_two_side(r: ContentFunction, M: int, N: int, D: int) -> DetRepResult
     )
     xs = [ring.var(i) for i in range(N)]
     ys = [ring.var(N + i) for i in range(N)]
-    tx = miwa(xs, cap)
-    ty = miwa(ys, cap)
-    series = ring.zero()
+    lhs = ring.zero()
     for lam, c in _weighted_partitions(r, M, D, N):
-        series = series + (schur(lam, tx) * schur(lam, ty)) * c
-    lhs = _vandermonde(ring, list(range(N))) * _vandermonde(
-        ring, list(range(N, 2 * N))
-    ) * series
+        lhs = lhs + _alternant(xs, lam) * _alternant(ys, lam) * c
     # kernel entries
     m0 = M - N + 1
     rhos = [Fraction(1)]
@@ -490,7 +480,7 @@ def det_rep_two_side(r: ContentFunction, M: int, N: int, D: int) -> DetRepResult
         rows.append(row)
     pref = det_two_side_prefactor(r, M, N)
     rhs = _det(rows) * pref
-    return DetRepResult(lhs, rhs, cap, pref)
+    return DetRepResult(lhs, rhs, pref)
 
 
 def deriv_det_prefactor(r: ContentFunction, n: int) -> Fraction:
@@ -511,7 +501,9 @@ def det_rep_derivatives(r: ContentFunction, n: int, D: int) -> DetRepResult:
     tau_r(n, t, t*) = prefactor * det( d^{a+b} tau_r(1, t, t*) / dt_1^a dt*_1^b ).
 
     Both sides are bivariate polynomials in (t, t*), compared through
-    bidegree (D, D).
+    bidegree (D, D).  Every monomial of either side has equal t- and
+    t*-degree, so that is total degree 2D, the cap of the ring both sides
+    are built in.
     """
     if r(0) != 0:
         raise ValueError("this identity needs r(0) = 0")
@@ -519,6 +511,7 @@ def det_rep_derivatives(r: ContentFunction, n: int, D: int) -> DetRepResult:
         raise ValueError("n must be >= 1")
     J = D + n - 1
     ring = PolyRing.bi_times_ring(J, cap=2 * J)
+    check = PolyRing.bi_times_ring(J, cap=2 * D)
     tau1 = tau_series(TauSpec(r, 1, Formal(), Formal()), J).as_polyseries(ring)
     rows = []
     for a in range(n):
@@ -530,25 +523,12 @@ def det_rep_derivatives(r: ContentFunction, n: int, D: int) -> DetRepResult:
             ent = base
             for _ in range(b):
                 ent = ent.diff(J)
-            row.append(ent)
+            row.append(PolySeries(check, ent.terms))
         rows.append(row)
-    rhs = _det(rows) * deriv_det_prefactor(r, n)
-    lhs = tau_series(TauSpec(r, n, Formal(), Formal()), D).as_polyseries(ring)
-    lhs = _bidegree_filter(lhs, J, D)
-    rhs = _bidegree_filter(rhs, J, D)
-    return DetRepResult(lhs, rhs, 2 * D, deriv_det_prefactor(r, n))
-
-
-def _bidegree_filter(f: PolySeries, K: int, D: int) -> PolySeries:
-    """Keep monomials whose t-block and u-block weighted degrees are <= D."""
-    ring = f.ring
-    out = {}
-    for e, c in f.terms.items():
-        dt = sum(ei * w for ei, w in zip(e[:K], ring.weights[:K]))
-        du = sum(ei * w for ei, w in zip(e[K:], ring.weights[K:]))
-        if dt <= D and du <= D:
-            out[e] = c
-    return PolySeries(ring, out)
+    pref = deriv_det_prefactor(r, n)
+    rhs = _det(rows) * pref
+    lhs = tau_series(TauSpec(r, n, Formal(), Formal()), D).as_polyseries(check)
+    return DetRepResult(lhs, rhs, pref)
 
 
 # -- residual checks --------------------------------------------------------
@@ -557,16 +537,23 @@ def _bidegree_filter(f: PolySeries, K: int, D: int) -> PolySeries:
 def hirota_residual(r: ContentFunction, n: int, D: int) -> PolySeries:
     """tau(n) d_t1 d_t1* tau(n) - d_t1 tau(n) d_t1* tau(n)
        - r(n) tau(n-1) tau(n+1),
-    as a bivariate polynomial; identically zero through bidegree D-1 for
-    every tau of hypergeometric type."""
-    ring = PolyRing.bi_times_ring(D, cap=2 * D)
-    tn = tau_series(TauSpec(r, n, Formal(), Formal()), D).as_polyseries(ring)
-    tm = tau_series(TauSpec(r, n - 1, Formal(), Formal()), D).as_polyseries(ring)
-    tp = tau_series(TauSpec(r, n + 1, Formal(), Formal()), D).as_polyseries(ring)
+    as a bivariate polynomial through bidegree (D-1, D-1), where it vanishes
+    for every tau of hypergeometric type.  Every monomial has equal t- and
+    t*-degree, so the residual is built in the ring of total degree 2D - 2;
+    the mixed derivative of tau(n) needs its (D, D) terms, so tau(n) alone
+    is expanded through 2D first.
+    """
+    check = PolyRing.bi_times_ring(D, cap=2 * D - 2)
+    if D == 0:
+        return check.zero()
+    tn = tau_series(TauSpec(r, n, Formal(), Formal()), D).as_polyseries(
+        PolyRing.bi_times_ring(D, cap=2 * D)
+    )
+    tm = tau_series(TauSpec(r, n - 1, Formal(), Formal()), D).as_polyseries(check)
+    tp = tau_series(TauSpec(r, n + 1, Formal(), Formal()), D).as_polyseries(check)
     d1 = tn.diff(0)
-    du1 = tn.diff(D)
-    residual = tn * d1.diff(D) - d1 * du1 - tm * tp * r(n)
-    return _bidegree_filter(residual, D, D - 1)
+    t, dt, du, dtu = (PolySeries(check, f.terms) for f in (tn, d1, tn.diff(D), d1.diff(D)))
+    return t * dtu - dt * du - tm * tp * r(n)
 
 
 def ode_residual(a: Sequence, b: Sequence, D: int) -> list[Fraction]:

@@ -90,6 +90,26 @@ def test_verify_all_fast(capsys):
     assert data["pass"] is True
 
 
+def test_verify_degree_zero_exits_zero(capsys):
+    # no bidegree <= -1 to compare: the Hirota residual is empty, and the
+    # determinant identity holds for the constant term alone
+    for check in ("hirota", "det", "all"):
+        code, out = run_cli(capsys, "verify", check, "--deg", "0")
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("profile, digest", [
+    ("fast", "92e19310859156fd43e15b2a0b7879c405da361292dd65c8a5e72e8c46e10969"),
+    ("full", "179bdd9a35ba56de7f98594aaacf8af0895b74b3a014824c79985c06be64020d"),
+])
+def test_verify_all_manifest_digest_is_pinned(tmp_path, capsys, profile, digest):
+    mpath = tmp_path / "m.json"
+    code, _ = run_cli(capsys, "--manifest", str(mpath), "verify", "all", "--deg", "6", "--profile", profile)
+    assert code == 0
+    assert json.loads(mpath.read_text())["digest"] == digest
+
+
 def test_byte_stable_output(capsys):
     _, out1 = run_cli(capsys, "tau", "--r", "one", "--n", "0", "--t", "t:3", "--tstar", "t:3", "--deg", "3")
     _, out2 = run_cli(capsys, "tau", "--r", "one", "--n", "0", "--t", "t:3", "--tstar", "t:3", "--deg", "3")
@@ -239,6 +259,12 @@ def test_bad_value_exits_two_naming_its_option(capsys, option, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"argument {option}: invalid value" in err, err
+
+
+@pytest.mark.parametrize("a", ["1", "3/2", "2"])
+def test_oracle_mu_unit_diverging_a_exits_two(capsys, a):
+    assert main(["oracle", "mu", "--contour", "unit", f"--a-param={a}"]) == 2
+    assert "--a-param" in capsys.readouterr().err
 
 
 def test_oracle_haar_bad_size_exits_two(capsys):

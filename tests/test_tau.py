@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 from math import factorial
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taukit.partitions import Partition, enumerate_partitions
-from taukit.symfun import PolyRing, PolySeries, Times, exp_series, schur
+from taukit.symfun import PolyRing, PolySeries, Times, _det, exp_series, schur
 from taukit.tau import (
     Eigs,
     Formal,
@@ -17,6 +19,7 @@ from taukit.tau import (
     det_rep_derivatives,
     det_rep_one_side,
     det_rep_two_side,
+    deriv_det_prefactor,
     det_two_side_prefactor,
     hirota_residual,
     hyper_pfs,
@@ -32,12 +35,14 @@ from taukit.tau import (
 from taukit.weights import (
     ConstantOneContent,
     ContentPoleError,
+    ContentZeroError,
     LinearContent,
     QRationalContent,
     RationalContent,
     content_product,
     hook_product,
     hook_product_q,
+    parse_content,
     pochhammer_partition,
     q_pochhammer_partition,
 )
@@ -358,3 +363,165 @@ def test_as_polyseries_matches_jacobi_trudi(sides, ring_K, r, n):
     got = ts.as_polyseries(ring)
     assert got == jacobi_trudi_polyseries(ts, ring)
     assert got.terms  # a nonzero expansion is compared
+
+
+# -- determinant and Hirota sides against the routes they replaced -----------
+# The series sides were Schur functions of the Miwa times of the ring
+# variables, multiplied by Vandermonde products; the derivative determinant
+# and the Hirota residual were built in a ring capped above the compared
+# degree and filtered to it afterwards.  Those routes are the references.
+
+GRID_R = [
+    RationalContent([F(1, 2)], [F(7, 2)]),
+    parse_content("linear|scale:3/2"),
+    parse_content("one|scale:2/3"),
+]
+
+
+def miwa_jacobi_trudi_side(coeffs, blocks, ring):
+    """sum_lambda c_lambda prod_blocks s_lambda(x_block), each s_lambda the
+    Jacobi-Trudi determinant at the Miwa times m t_m = sum_i x_i^m, times the
+    Vandermonde product of every block."""
+    times = [
+        Times([sum((x**m for x in xs), start=ring.zero()) * F(1, m) for m in range(1, ring.cap + 1)])
+        for xs in blocks
+    ]
+    series = ring.zero()
+    for lam, c in coeffs.items():
+        term = ring.const(c)
+        for t in times:
+            term = term * schur(lam, t)
+        series = series + term
+    for xs in blocks:
+        for i in range(len(xs)):
+            for j in range(i + 1, len(xs)):
+                series = series * (xs[i] - xs[j])
+    return series
+
+
+def eigenvalue_ring(N, blocks, cap):
+    names = [f"{x}{i}" for x in "xy"[:blocks] for i in range(1, N + 1)]
+    return PolyRing(names, [1] * len(names), cap)
+
+
+def bidegree_terms(f, K, D):
+    """The terms of f whose t-block and u-block weighted degrees are <= D."""
+    w = f.ring.weights
+    return {
+        e: c for e, c in f.terms.items()
+        if sum(map(mul, e[:K], w[:K])) <= D and sum(map(mul, e[K:], w[K:])) <= D
+    }
+
+
+def derivative_determinant_2j(r, n, D):
+    """The derivative determinant in the ring capped at 2J = 2(D + n - 1)."""
+    J = D + n - 1
+    ring = PolyRing.bi_times_ring(J, cap=2 * J)
+    tau1 = tau_series(TauSpec(r, 1, Formal(), Formal()), J).as_polyseries(ring)
+    rows = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            ent = tau1
+            for i, k in [(0, a), (J, b)]:
+                for _ in range(k):
+                    ent = ent.diff(i)
+            row.append(ent)
+        rows.append(row)
+    return _det(rows) * deriv_det_prefactor(r, n)
+
+
+def hirota_full_ring(r, n, D):
+    """The Hirota residual in the ring capped at 2D, unfiltered."""
+    ring = PolyRing.bi_times_ring(D, cap=2 * D)
+    tn, tm, tp = (
+        tau_series(TauSpec(r, k, Formal(), Formal()), D).as_polyseries(ring) for k in (n, n - 1, n + 1)
+    )
+    d1 = tn.diff(0)
+    return tn * d1.diff(D) - d1 * tn.diff(D) - tm * tp * r(n)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("r", GRID_R, ids=repr)
+def test_det_rep_two_side_series_side_matches_miwa_route(r, N):
+    for n in range(-1, 3):
+        for D in range(1, 8):
+            try:
+                det_two_side_prefactor(r, n, N)
+            except ContentZeroError:
+                with pytest.raises(ContentZeroError):
+                    det_rep_two_side(r, n, N, D)
+                continue
+            res = det_rep_two_side(r, n, N, D)
+            ring = eigenvalue_ring(N, 2, D + N * (N - 1))
+            coeffs = tau_series(TauSpec(r, n, Formal(), Formal()), D, length_max=N).coeffs
+            blocks = [[ring.var(i) for i in range(N)], [ring.var(N + i) for i in range(N)]]
+            assert res.lhs == miwa_jacobi_trudi_side(coeffs, blocks, ring), (r, n, N, D)
+            assert res.matches(), (r, n, N, D)
+
+
+@pytest.mark.parametrize("r, uside", zip(GRID_R, [TInf(), WeightA(F(1, 2)), QGeo(F(1, 3))]), ids=repr)
+def test_det_rep_one_side_series_side_matches_miwa_route(r, uside):
+    for N in range(1, 4):
+        for n in range(-1, 3):
+            for D in range(1, 8):
+                res = det_rep_one_side(r, n, N, uside, D)
+                ring = eigenvalue_ring(N, 1, D + N * (N - 1) // 2)
+                coeffs = tau_series(TauSpec(r, n, Formal(), uside), D, length_max=N).coeffs
+                assert res.lhs == miwa_jacobi_trudi_side(coeffs, [[ring.var(i) for i in range(N)]], ring)
+                assert res.matches(), (r, uside, n, N, D)
+
+
+@pytest.mark.parametrize("r", [GRID_R[1], RationalContent(a=[0, F(1, 2)])], ids=repr)
+def test_det_rep_derivatives_equals_filtered_2j_determinant(r):
+    # both sides live in the ring capped at 2D: a cap of 2D - 1 loses the
+    # (D, D) terms and one of 2D + 1 claims an odd degree nobody compares
+    for n in range(1, 4):
+        for D in range(1, 8):
+            res = det_rep_derivatives(r, n, D)
+            assert res.lhs.ring.cap == res.rhs.ring.cap == 2 * D
+            J = D + n - 1
+            assert res.rhs.terms == bidegree_terms(derivative_determinant_2j(r, n, D), J, D)
+            lhs = tau_series(TauSpec(r, n, Formal(), Formal()), D).as_polyseries(PolyRing.bi_times_ring(J))
+            assert res.lhs.terms == bidegree_terms(lhs, J, D)
+            assert res.matches(), (r, n, D)
+
+
+@pytest.mark.parametrize("r", GRID_R, ids=repr)
+def test_hirota_residual_equals_filtered_full_ring_residual(r):
+    for n in range(-1, 3):
+        for D in range(1, 8):
+            res = hirota_residual(r, n, D)
+            assert res.ring.cap == 2 * D - 2
+            assert res.terms == bidegree_terms(hirota_full_ring(r, n, D), D, D - 1) == {}, (r, n, D)
+
+
+def test_hirota_residual_degree_zero_is_empty():
+    for r in GRID_R:
+        assert hirota_residual(r, 1, 0).is_zero()
+    with pytest.raises(ValueError):
+        hirota_residual(ONE, 0, -1)
+
+
+def balanced(f, K):
+    w = f.ring.weights
+    return all(sum(map(mul, e[:K], w[:K])) == sum(map(mul, e[K:], w[K:])) for e in f.terms)
+
+
+non_integers = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
+    lambda x: x.denominator > 1
+)
+
+
+@given(st.lists(non_integers, max_size=2), st.lists(non_integers, max_size=2), st.booleans(),
+       st.integers(-1, 2), st.integers(1, 5))
+@settings(max_examples=30, deadline=None)
+def test_two_formal_side_series_are_balanced(a, b, vanish_at_zero, n, D):
+    # every monomial of sum r_lambda s_lambda(t) s_lambda(t*) has equal t- and
+    # t*-degree; this is why each check can truncate by the total-degree cap
+    r = RationalContent(a + [0] * vanish_at_zero, b)
+    series = tau_series(TauSpec(r, n, Formal(), Formal()), D).as_polyseries(PolyRing.bi_times_ring(D))
+    assert series.terms and balanced(series, D)
+    assert balanced(hirota_full_ring(r, n, D), D)
+    if vanish_at_zero and n >= 1:
+        assert balanced(derivative_determinant_2j(r, n, D), D + n - 1)
