@@ -404,13 +404,16 @@ def eigenvalue_ring(N, blocks, cap):
     return PolyRing(names, [1] * len(names), cap)
 
 
+def block_degrees(f, K):
+    """(monomial, t-block degree, u-block degree, coefficient) for each term
+    of f, the t block being the first K variables."""
+    w = f.ring.weights
+    return [(e, sum(map(mul, e[:K], w[:K])), sum(map(mul, e[K:], w[K:])), c) for e, c in f.terms.items()]
+
+
 def bidegree_terms(f, K, D):
     """The terms of f whose t-block and u-block weighted degrees are <= D."""
-    w = f.ring.weights
-    return {
-        e: c for e, c in f.terms.items()
-        if sum(map(mul, e[:K], w[:K])) <= D and sum(map(mul, e[K:], w[K:])) <= D
-    }
+    return {e: c for e, dt, du, c in block_degrees(f, K) if dt <= D and du <= D}
 
 
 def derivative_determinant_2j(r, n, D):
@@ -504,8 +507,7 @@ def test_hirota_residual_degree_zero_is_empty():
 
 
 def balanced(f, K):
-    w = f.ring.weights
-    return all(sum(map(mul, e[:K], w[:K])) == sum(map(mul, e[K:], w[K:])) for e in f.terms)
+    return all(dt == du for _, dt, du, _ in block_degrees(f, K))
 
 
 non_integers = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
