@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .partitions import Partition, enumerate_partitions
-from .symfun import Times, _num_den, cauchy_truncated
+from .symfun import PolySeries, Times, _num_den, cauchy_truncated
 from .tau import (
     Eigs,
     Formal,
@@ -369,6 +369,19 @@ def _first_difference(lhs, rhs, left: str, right: str) -> str:
             f" != {right} {_num_den(rhs.coefficient(e))}")
 
 
+def _poisoned(name: str, value, deg: int):
+    """The fault --poison injects: x_1 added to a series whose ring holds it,
+    else the constant 1, and 1 added to the first coefficient of a residual
+    list; a check that compares nothing at this degree has no room for it."""
+    if isinstance(value, list) and value:
+        return [value[0] + 1] + value[1:]
+    if isinstance(value, PolySeries) and value.ring.cap >= 0:
+        ring = value.ring
+        return value + (ring.var(0) if ring.nvars() and ring.weights[0] <= ring.cap else 1)
+    raise ValueError(f"--deg {deg}: the {name} check compares no coefficient, "
+                     "so --poison has nothing to change")
+
+
 def _verify_one(name: str, args) -> dict:
     t0 = time.time()
     ok = True
@@ -376,14 +389,14 @@ def _verify_one(name: str, args) -> dict:
     if name == "cauchy":
         lhs, rhs = cauchy_truncated(args.deg)
         if args.poison == "cauchy":
-            lhs = lhs + lhs.ring.var(0)
+            lhs = _poisoned(name, lhs, args.deg)
         ok = lhs == rhs
         if not ok:
             detail = _first_difference(lhs, rhs, "exponential", "Schur sum")
     elif name == "hirota":
         res = hirota_residual(args.r, args.n, args.deg)
         if args.poison == "hirota":
-            res = res + res.ring.var(0)
+            res = _poisoned(name, res, args.deg)
         ok = res.is_zero()
         if not ok:
             detail = (f"nonzero residual monomials: {len(res.terms)}; "
@@ -391,21 +404,21 @@ def _verify_one(name: str, args) -> dict:
     elif name == "ode":
         res = ode_residual(args.a, args.b, args.deg)
         if args.poison == "ode":
-            res[0] += 1
+            res = _poisoned(name, res, args.deg)
         ok = all(v == 0 for v in res)
         if not ok:
             detail = f"residual degrees: {[i for i, v in enumerate(res) if v != 0][:5]}"
     elif name == "qdiff":
         res = q_difference_residual(args.qa, args.qb, args.q, args.deg)
         if args.poison == "qdiff":
-            res[0] += 1
+            res = _poisoned(name, res, args.deg)
         ok = all(v == 0 for v in res)
         if not ok:
             detail = f"residual degrees: {[i for i, v in enumerate(res) if v != 0][:5]}"
     elif name == "det":
         res = det_rep_two_side(args.r, args.n, args.n, args.deg)
         if args.poison == "det":
-            res.lhs = res.lhs + res.lhs.ring.var(0)
+            res.lhs = _poisoned(name, res.lhs, args.deg)
         ok = res.matches()
         if not ok:
             detail = _first_difference(res.lhs, res.rhs, "series", "determinant")

@@ -6,10 +6,7 @@ Everything here is exact rational arithmetic.  The two workhorses are
   fixed weighted total degree (variable i carries a weight, typically m for
   the time t_m), and
 * ``Times`` -- a truncated vector (t_1, ..., t_K) of "higher times" whose
-  entries are Fractions or PolySeries.  Each Times caches its complete and
-  elementary symmetric functions h_0..h_k and e_0..e_k, grown on demand by
-  the Newton recurrences, so every Schur function of the same Times shares
-  them.
+  entries are Fractions or PolySeries.
 
 The public ``PolySeries(ring, terms)`` drops zero coefficients and monomials
 above the ring cap.  Sums, differences, products, scalar multiples and
@@ -18,15 +15,14 @@ a private trusted constructor that skips this filter; a product sorts the
 larger factor by weighted degree once and pairs each term of the other only
 with the terms that fit under the cap.
 
-Schur series in formal times, sum_lambda c_lambda s_lambda(t) and the
-two-sided sum_lambda c_lambda s_lambda(t) s_lambda(t*), are expanded by
-``schur_expansion`` from the integer character tables ``characters(d)``
-(Murnaghan-Nakayama rule, memoised per d): [t^e] s_lambda is
-chi^lambda_mu / prod_m e_m!, so each degree is one block of integer sums.
-Single Schur functions are evaluated through one Jacobi-Trudi builder: the
-h-determinant on lambda or the e-determinant on lambda', whichever is
-shorter, and the shifted h-determinant for skew shapes.  Eigenvalue
-specializations use the bialternant ratio with a Miwa-map fallback.
+One border-strip engine evaluates every Schur function of a Times: s_lambda,
+s_{lambda/mu}, h_k = s_(k) and e_k = s_(1^k), by the Murnaghan-Nakayama
+recursion on bead masks, memoised on the Times and run on integers when the
+times are rational.  Schur series in formal times, sum c_lambda s_lambda(t)
+and sum c_lambda s_lambda(t) s_lambda(t*), are expanded by ``schur_expansion``
+from the integer character tables ``characters(d)``, built by the same strip
+removal: [t^e] s_lambda = chi^lambda_mu / prod_m e_m!, one block per degree.
+Eigenvalue specializations use the bialternant ratio with a Miwa-map fallback.
 """
 
 from __future__ import annotations
@@ -35,14 +31,13 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from math import factorial, lcm, prod
+from math import factorial, lcm, perm, prod
 from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .partitions import Partition, SkewShape, enumerate_partitions, partitions_of
 
 Scalar = Union[int, Fraction]
-_EMPTY = Partition()
 
 
 def _as_fraction(x) -> Fraction:
@@ -346,17 +341,24 @@ class Times:
     """A truncated vector of higher times (t_1, ..., t_K).
 
     Entries may be Fractions (numeric specializations) or PolySeries
-    (symbolic variables); t_m for m > K is exactly zero.  The lists of
-    h_k(t) and e_k(t) computed so far are kept on the object.
+    (symbolic variables); t_m for m > K is exactly zero.  Every Schur value
+    the border-strip engine computes on it is memoised on the object.
     """
 
-    __slots__ = ("entries", "K", "_h", "_e")
+    __slots__ = ("entries", "K", "_scale", "_steps", "_memo")
 
     def __init__(self, entries: Sequence):
         self.entries = tuple(entries)
         self.K = len(self.entries)
-        self._h = [Fraction(1)]
-        self._e = [Fraction(1)]
+        self._memo: dict[int, dict] = {}  # bead mask of the inner shape -> {bead mask: S}
+        # the engine weights m t_m c^m: integers when every time is rational
+        # and c is the lcm of their denominators, else c = 1
+        rational = all(isinstance(x, (int, Fraction)) for x in self.entries)
+        self._scale = lcm(*(x.denominator for x in self.entries)) if rational else 1
+        self._steps = tuple(
+            (m, int(x * m * self._scale**m) if rational else x * m)
+            for m, x in enumerate(self.entries, start=1) if x
+        )
 
     def get(self, m: int):
         """t_m (1-based); zero beyond the cutoff."""
@@ -367,10 +369,6 @@ class Times:
     @classmethod
     def of(cls, values: Iterable) -> "Times":
         return cls([v if isinstance(v, PolySeries) else _as_fraction(v) for v in values])
-
-    @classmethod
-    def zero(cls, K: int) -> "Times":
-        return cls([Fraction(0)] * K)
 
     @classmethod
     def symbolic(cls, ring: PolyRing, K: int, offset: int = 0) -> "Times":
@@ -403,24 +401,6 @@ class Times:
     def negate(self) -> "Times":
         return Times([-e for e in self.entries])
 
-    def _symmetric(self, dual: bool, D: int) -> list:
-        """The cached list h_0..h_D (e_0..e_D when dual), extended in place.
-
-        Newton: k h_k = sum_m m t_m h_{k-m} and
-        k e_k = sum_m (-1)^(m-1) m t_m e_{k-m}; t_m = 0 for m > K.
-        """
-        seq = self._e if dual else self._h
-        for k in range(len(seq), D + 1):
-            acc = None
-            for m in range(1, min(k, self.K) + 1):
-                tm = self.entries[m - 1]
-                if isinstance(tm, Fraction) and tm == 0:
-                    continue
-                piece = ((-m if dual and m % 2 == 0 else m) * tm) * seq[k - m]
-                acc = piece if acc is None else acc + piece
-            seq.append(Fraction(0) if acc is None else acc * Fraction(1, k))
-        return seq
-
     def __repr__(self):
         return f"Times({list(self.entries)})"
 
@@ -433,15 +413,15 @@ def miwa(xs: Sequence[Fraction], K: int) -> Times:
 
 
 def h_list(t: Times, D: int) -> list:
-    """Complete symmetric functions h_0..h_D of the times t, defined by
-    exp(sum_m t_m z^m) = sum_k h_k z^k (a copy of the list t caches)."""
-    return t._symmetric(False, D)[: D + 1]
+    """h_0..h_D, exp(sum_m t_m z^m) = sum_k h_k z^k: the engine on s_(k) is
+    Newton's k h_k = sum_m m t_m h_{k-m}."""
+    return [_schur_value(t, 1 << k if k else 0, k) for k in range(D + 1)]
 
 
 def e_list(t: Times, D: int) -> list:
-    """Elementary symmetric functions e_0..e_D: e_k(t) = (-1)^k h_k(-t)
-    (a copy of the list t caches)."""
-    return t._symmetric(True, D)[: D + 1]
+    """e_0..e_D, e_k(t) = (-1)^k h_k(-t): the engine on s_(1^k) is
+    k e_k = sum_m (-1)^(m-1) m t_m e_{k-m}."""
+    return [_schur_value(t, ((1 << k) - 1) << 1, k) for k in range(D + 1)]
 
 
 def _det(rows: list[list]) -> object:
@@ -475,48 +455,85 @@ def _det(rows: list[list]) -> object:
     return expand(0, tuple(range(n)))
 
 
-def _jacobi_trudi(seq: list, outer: Partition, inner: Partition) -> object:
-    """det(seq[outer_i - inner_j - i + j]) of size max(l(outer), l(inner), 1),
-    with seq[k] = 0 for k < 0; seq must reach index outer_1 + size - 1."""
-    n = max(outer.length, inner.length, 1)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            k = outer.part(i) - inner.part(j) - i + j
-            row.append(seq[k] if k >= 0 else Fraction(0))
-        rows.append(row)
-    return _det(rows)
+def _key(parts: Sequence[int]) -> int:
+    """The bead mask of a partition: bit lambda_i + l - i for each of its l
+    parts (its beta-numbers).  Bit 0 is clear, as no part is zero."""
+    n = len(parts)
+    return sum(1 << (p + n - i) for i, p in enumerate(parts, start=1))
+
+
+def _strips(key: int, m: int) -> list[tuple[int, int]]:
+    """(sign, bead mask) of every partition left by removing a border strip
+    of size m from the partition with bead mask key: a bead moved from b down
+    to a free b - m, with sign (-1)^height for the beads it passes."""
+    out = []
+    movable = key & ~(key << m) & ~((1 << m) - 1)  # beads b >= m with b - m free
+    between = (1 << (m - 1)) - 1
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        height = (key >> (low.bit_length() - m) & between).bit_count()
+        nu = key ^ low ^ (low >> m)
+        nu >>= (~nu & (nu + 1)).bit_length() - 1  # beads at 0, 1, ... are zero parts
+        out.append((-1 if height & 1 else 1, nu))
+    return out
+
+
+def _schur_value(t: Times, key: int, e: int, inner: int = 0):
+    """s_{nu/mu}(t) for the bead masks key of nu and inner of mu, e = |nu| - |mu|:
+    e s_{nu/mu} = sum_m m t_m sum_{m-strips S of nu} (-1)^ht(S) s_{(nu-S)/mu},
+    as d/dt_m removes m-strips and sum_m m t_m d/dt_m is the weighted degree
+    (Macdonald, Symmetric Functions, I.5, I.7); s_{mu/mu} = 1 and every other
+    shape of size |mu| gives 0.  The memo on t holds S = e! c^e s, so
+    S_nu = sum_m m t_m c^m (e-1)!/(e-m)! sum_S (-1)^ht(S) S_(nu-S) needs no
+    division, and with rational times (c their common denominator) no Fraction.
+    """
+    memo = t._memo.setdefault(inner, {inner: 1})
+    todo = [(key, e, None)]
+    while todo:
+        nu, d, terms = todo.pop()
+        if nu in memo:
+            continue
+        if terms is None:  # d = 0 has no terms: S = 0 for any nu but the seeded inner
+            terms = [
+                (m, w * perm(d - 1, m - 1), strips)
+                for m, w in t._steps if m <= d
+                for strips in (_strips(nu, m),) if strips
+            ]
+            todo.append((nu, d, terms))
+            todo.extend(
+                (child, d - m, None)
+                for m, _, strips in terms for _, child in strips if child not in memo
+            )
+            continue
+        total = 0
+        for _, w, strips in terms:
+            part = 0
+            for sign, child in strips:
+                v = memo[child]
+                if v:
+                    part = part + v if sign > 0 else part - v
+            if part:
+                total = total + w * part
+        memo[nu] = total
+    return memo[key] * Fraction(1, factorial(e) * t._scale**e)
 
 
 def schur(lam: Partition, t: Times) -> object:
-    """Schur function s_lambda(t) by the Jacobi-Trudi determinant.
-
-    Uses the h-determinant on lambda or the e-determinant on the conjugate,
-    whichever matrix is smaller.  s_0 = 1.
-    """
-    if lam.length == 0:
-        return Fraction(1)
-    dual = lam.part(1) < lam.length  # l(lambda') = lambda_1
-    side = lam.conjugate() if dual else lam
-    return _jacobi_trudi(t._symmetric(dual, side.part(1) + side.length - 1), side, _EMPTY)
+    """Schur function s_lambda(t) by the border-strip recursion; s_0 = 1."""
+    return _schur_value(t, _key(lam.parts), lam.weight)
 
 
 def skew_schur(shape, t: Times) -> object:
-    """Skew Schur function via det(h_{lambda_i - mu_j - i + j}).
-
-    Accepts a SkewShape or a bare (outer, inner) pair; reduces to
-    schur(outer) when the inner partition is empty, and the determinant
-    vanishes identically whenever inner is not contained in outer.
-    """
+    """Skew Schur function s_{lambda/mu}(t) by the border-strip recursion, for
+    a SkewShape or an (outer, inner) pair; zero unless inner lies in outer."""
     if isinstance(shape, SkewShape):
         lam, mu = shape.outer, shape.inner
     else:
         lam, mu = shape
-    if mu.length == 0:
-        return schur(lam, t)
-    n = max(lam.length, mu.length, 1)
-    return _jacobi_trudi(t._symmetric(False, lam.part(1) + n - 1), lam, mu)
+    if not lam.contains(mu):
+        return Fraction(0)
+    return _schur_value(t, _key(lam.parts), lam.weight - mu.weight, _key(mu.parts))
 
 
 def schur_from_eigenvalues(lam: Partition, xs: Sequence) -> Fraction:
@@ -573,54 +590,36 @@ def characters(d: int) -> tuple[tuple[Partition, ...], tuple[tuple[int, ...], ..
 
     Returns (parts, table): parts are the partitions of d in reverse-
     lexicographic order and table[i][j] = chi^lambda_mu for lambda = parts[i]
-    and the cycle type mu = parts[j].  Built by the Murnaghan-Nakayama rule on
-    beta-numbers (Macdonald, Symmetric Functions, I.7): with k = mu_1,
-    chi^lambda_mu = sum (-1)^ht chi^(lambda - strip)_(mu - k) over the border
-    strips of length k, each one a bead moved from b down to a free b - k,
-    of height the number of beads it passes.  Memoised per d.
+    and the cycle type mu = parts[j].  Built by the Murnaghan-Nakayama rule
+    (Macdonald, Symmetric Functions, I.7): with k = mu_1, chi^lambda_mu =
+    sum (-1)^ht chi^(lambda - strip)_(mu - k) over the border strips of
+    length k, as ``_strips`` removes them.  Memoised per d.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
     parts = tuple(partitions_of(d))
     if d == 0:
         return parts, ((1,),)
-    lower = {}  # k -> (table of d - k, position of each partition of d - k in it)
+    lower = {}  # k -> (table of d - k, row of each partition of d - k by bead mask)
+    columns = []  # (k, row in the table of d - k of mu - k) for each cycle type mu
+    for mu in parts:
+        k = mu.parts[0]
+        if k not in lower:
+            sub_parts, sub_table = characters(d - k)
+            lower[k] = sub_table, {_key(p.parts): i for i, p in enumerate(sub_parts)}
+        columns.append((k, lower[k][1][_key(mu.parts[1:])]))
     rows = []
     for lam in parts:
-        n = lam.length
-        beads = [p + n - i for i, p in enumerate(lam.parts, start=1)]
+        key = _key(lam.parts)
         strips: dict[int, list] = {}  # k -> [(sign, row of lambda - strip in the table of d - k)]
         row = []
-        for mu in parts:
-            k = mu.parts[0]
-            if k not in lower:
-                sub_parts, sub_table = characters(d - k)
-                lower[k] = sub_table, {p.parts: i for i, p in enumerate(sub_parts)}
-            sub_table, sub_index = lower[k]
+        for k, j in columns:
             if k not in strips:
-                strips[k] = [
-                    (sign, sub_table[sub_index[nu]]) for sign, nu in _remove_strips(beads, k)
-                ]
-            j = sub_index[mu.parts[1:]]
+                sub_table, sub_index = lower[k]
+                strips[k] = [(sign, sub_table[sub_index[nu]]) for sign, nu in _strips(key, k)]
             row.append(sum(sign * sub_row[j] for sign, sub_row in strips[k]))
         rows.append(tuple(row))
     return parts, tuple(rows)
-
-
-def _remove_strips(beads: list[int], k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(sign, parts) of every partition left by removing a border strip of
-    length k from the partition with these beta-numbers."""
-    out = []
-    taken = set(beads)
-    n = len(beads)
-    for b in beads:
-        if b < k or b - k in taken:
-            continue
-        height = sum(1 for c in beads if b - k < c < b)
-        moved = sorted((b - k if c == b else c for c in beads), reverse=True)
-        nu = tuple(x - (n - i) for i, x in enumerate(moved, start=1))
-        out.append((-1 if height % 2 else 1, tuple(p for p in nu if p)))
-    return out
 
 
 def schur_expansion(ring: PolyRing, coeffs: dict, sides: int) -> PolySeries:

@@ -195,12 +195,13 @@ class TauSeries:
         return {str(lam): _num_den(c) for lam, c in self.items()}
 
 
-def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int):
-    """(lambda, r_lambda(n)) for |lambda| <= D and l(lambda) <= lmax, with
-    zero weights skipped.
+def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int, size: Optional[int] = None):
+    """(lambda, r_lambda(n)) for |lambda| <= size (default D) and
+    l(lambda) <= lmax, with zero weights skipped.
 
-    Scanning away from the charge, a zero of r truncates the series (no
-    partition can reach past it), while a pole before any zero is an error.
+    Scanning away from the charge over the window of |lambda| <= D, a zero
+    of r truncates the series (no partition can reach past it), while a
+    pole before any zero is an error.
     """
 
     def reach(step: int, limit: int) -> int:
@@ -217,7 +218,8 @@ def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int):
 
     row_cap = reach(-1, max(lmax, 1))
     col_cap = reach(1, max(D, 1))
-    for lam in enumerate_partitions(D, length_max=min(lmax, row_cap), col_max=col_cap):
+    size = D if size is None else size
+    for lam in enumerate_partitions(size, length_max=min(lmax, row_cap), col_max=col_cap):
         c = content_product(r, n, lam)
         if c:
             yield lam, c
@@ -456,7 +458,9 @@ def det_rep_two_side(r: ContentFunction, M: int, N: int, D: int) -> DetRepResult
     xs = [ring.var(i) for i in range(N)]
     ys = [ring.var(N + i) for i in range(N)]
     lhs = ring.zero()
-    for lam, c in _weighted_partitions(r, M, D, N):
+    # each alternant has degree |lambda| + N(N-1)/2, so only 2|lambda| <= D
+    # survives the cap; the pole scan still covers |lambda| <= D
+    for lam, c in _weighted_partitions(r, M, D, N, D // 2):
         lhs = lhs + _alternant(xs, lam) * _alternant(ys, lam) * c
     # kernel entries
     m0 = M - N + 1

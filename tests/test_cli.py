@@ -80,6 +80,25 @@ def test_verify_poison_exits_one(capsys):
         assert data["reports"][0]["detail"] == witness
 
 
+@pytest.mark.parametrize("check", ["cauchy", "hirota", "ode", "qdiff", "det", "symmetry"])
+def test_verify_poison_fails_at_every_degree(capsys, check):
+    # the injected fault shows at every degree; where the check compares no
+    # coefficient at all (the Hirota residual and the residual lists at
+    # degree 0) there is nothing to poison, which exits 2 naming --deg
+    empty_at_zero = check in ("hirota", "ode", "qdiff")
+    for what in (check, "all"):
+        for deg in ("0", "1", "2"):
+            code = main(["verify", what, "--deg", deg, "--poison", check])
+            out, err = capsys.readouterr()
+            if deg == "0" and empty_at_zero:
+                assert (code, out) == (2, ""), (what, deg)
+                assert err.startswith("error: --deg 0:") and "Traceback" not in err, err
+            else:
+                assert code == 1 and err == "", (what, deg, err)
+                reports = json.loads(out)["reports"]
+                assert [r["pass"] for r in reports if r["check"] == check] == [False], (what, deg)
+
+
 def test_verify_all_fast(capsys):
     code, out = run_cli(capsys, "verify", "all", "--deg", "5")
     assert code == 0

@@ -10,7 +10,6 @@ from taukit.symfun import (
     PolySeries,
     Poly1,
     Times,
-    _det,
     cauchy_truncated,
     characters,
     e_list,
@@ -25,6 +24,8 @@ from taukit.symfun import (
     standard_product,
 )
 from taukit.weights import hook_product
+
+from schur_reference import jacobi_trudi, jacobi_trudi_determinant, newton_lists
 
 
 def sym_ring(K, cap=None):
@@ -203,15 +204,9 @@ def test_h_determinant_equals_e_determinant_on_conjugate(lam, values, formal):
         t = Times([ring.var(m) * v for m, v in enumerate((values * K)[:K])])
     else:
         t = Times.of(values)
-
-    def jacobi_trudi(seq, p):
-        n = p.length
-        return _det([[seq[p.part(i) - i + j] if p.part(i) - i + j >= 0 else F(0) for j in range(1, n + 1)]
-                     for i in range(1, n + 1)])
-
     conj = lam.conjugate()
-    h_det = jacobi_trudi(h_list(t, lam.part(1) + lam.length), lam)
-    e_det = jacobi_trudi(e_list(t, conj.part(1) + conj.length), conj)
+    h_det = jacobi_trudi_determinant(h_list(t, lam.part(1) + lam.length), lam)
+    e_det = jacobi_trudi_determinant(e_list(t, conj.part(1) + conj.length), conj)
     assert h_det == e_det == schur(lam, t), lam
 
 
@@ -249,7 +244,7 @@ def test_character_expansion_equals_jacobi_trudi(lam, K, cap, c):
     # [t^e] s_lambda = chi^lambda_mu / prod_m e_m!; parts above K and degrees
     # above the cap drop out of both sides
     ring, t = sym_ring(K, cap=cap)
-    assert schur_expansion(ring, {lam: c}, 1) == as_series(ring, schur(lam, t)) * c, lam
+    assert schur_expansion(ring, {lam: c}, 1) == as_series(ring, jacobi_trudi(t, lam)) * c, lam
 
 
 def test_character_table_orthogonality_and_degrees():
@@ -269,6 +264,58 @@ def test_character_table_orthogonality_and_degrees():
             assert row[-1] == F(factorial(d), hook_product(lam))
     with pytest.raises(ValueError):
         characters(-1)
+
+
+# -- the border-strip engine against Newton and Jacobi-Trudi -------------------
+
+rationals_with_zero = st.one_of(st.just(F(0)), rationals)
+time_kinds = st.sampled_from(["rational", "symbolic", "mixed"])
+
+
+def times_of(kind, values, cap):
+    """(times, normal form): rational times, symbolic ones t_m = v_m x_m in a
+    ring capped at cap, or mixed ones with every other entry symbolic."""
+    if kind == "rational":
+        return Times.of(values), lambda x: x
+    ring = PolyRing.times_ring(len(values), cap=cap)
+    entries = [ring.var(m) * v if kind == "symbolic" or m % 2 == 0 else v for m, v in enumerate(values)]
+    return Times.of(entries), lambda x: as_series(ring, x)
+
+
+@given(partitions_to_10, st.lists(rationals_with_zero, min_size=1, max_size=10), time_kinds,
+       st.integers(0, 10))
+@settings(max_examples=80, deadline=None)
+def test_engine_equals_jacobi_trudi(lam, values, kind, cap):
+    t, norm = times_of(kind, values, cap)
+    assert norm(schur(lam, t)) == norm(jacobi_trudi(t, lam)), lam
+
+
+@given(partitions_to_8, st.data(), st.lists(rationals_with_zero, min_size=1, max_size=8), time_kinds,
+       st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_skew_engine_equals_jacobi_trudi(lam, data, values, kind, cap):
+    inside = [mu for mu in enumerate_partitions(lam.weight) if lam.contains(mu)]
+    mu = data.draw(st.one_of(st.sampled_from(inside), partitions_to_8))
+    t, norm = times_of(kind, values, cap)
+    got = norm(skew_schur((lam, mu), t))
+    assert got == norm(jacobi_trudi(t, lam, mu)), (lam, mu)
+    if not lam.contains(mu):
+        assert got == norm(F(0)), (lam, mu)
+
+
+@given(st.lists(rationals_with_zero, min_size=1, max_size=8), time_kinds, st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_h_and_e_lists_equal_newton(values, kind, D):
+    t, norm = times_of(kind, values, D)
+    hs, es = newton_lists(t, D)
+    assert list(map(norm, h_list(t, D))) == list(map(norm, hs))
+    assert list(map(norm, e_list(t, D))) == list(map(norm, es))
+
+
+@given(partitions_to_8, st.lists(rationals, min_size=1, max_size=4, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_engine_at_miwa_times_equals_bialternant(lam, xs):
+    assert schur(lam, miwa(xs, max(lam.weight, 1))) == schur_from_eigenvalues(lam, xs), (lam, xs)
 
 
 small_ring = PolyRing(["a", "b", "c"], [1, 2, 1], 5)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taukit.partitions import Partition, enumerate_partitions
-from taukit.symfun import PolyRing, PolySeries, Times, _det, exp_series, schur
+from taukit.symfun import PolyRing, PolySeries, Times, _det, exp_series
 from taukit.tau import (
     Eigs,
     Formal,
@@ -46,6 +46,8 @@ from taukit.weights import (
     pochhammer_partition,
     q_pochhammer_partition,
 )
+
+from schur_reference import jacobi_trudi
 
 ONE = ConstantOneContent()
 LIN = LinearContent()
@@ -91,9 +93,11 @@ def test_eigenvalue_side_restricts_length():
 
 def test_hyper_pfs_against_one_variable_recurrence():
     a, b, c = F(1, 2), F(1, 3), F(5, 4)
-    D = 30
-    ts = hyper_pfs([a, b], [c], 0, Eigs([F(1)]), D)
-    assert ts.one_variable_coeffs() == pfs_one_var_coeffs([a, b], [c], D)
+    # one eigenvalue keeps only the rows (k); degree 60 is far beyond any
+    # character table, so only a recursion on the shapes themselves gets there
+    for D in (30, 60):
+        ts = hyper_pfs([a, b], [c], 0, Eigs([F(1)]), D)
+        assert ts.one_variable_coeffs() == pfs_one_var_coeffs([a, b], [c], D)
     # p=s=0 exponential
     ts0 = hyper_pfs([], [], 0, Eigs([F(1)]), 8)
     assert ts0.one_variable_coeffs() == [F(1, factorial(m)) for m in range(9)]
@@ -222,6 +226,29 @@ def test_det_rep_two_side():
     assert kernel == [F(1, factorial(j)) for j in range(9)]
 
 
+def test_det_rep_two_side_weighs_only_what_the_cap_keeps(monkeypatch):
+    # each alternant has degree |lambda| + N(N-1)/2 against the cap
+    # D + N(N-1), so only 2|lambda| <= D contributes and only those lambda
+    # get a content product
+    import taukit.tau as tau_mod
+
+    seen = []
+
+    def counting(r, n, lam):
+        seen.append(lam)
+        return content_product(r, n, lam)
+
+    monkeypatch.setattr(tau_mod, "content_product", counting)
+    for N, D in [(1, 7), (2, 6), (3, 6)]:
+        seen.clear()
+        assert det_rep_two_side(RationalContent([F(1, 2)], [F(7, 2)]), 1, N, D).matches()
+        assert seen and max(lam.weight for lam in seen) == D // 2, (N, D)
+    # the pole scan still covers |lambda| <= D: r(5) = 6/0 lies beyond the
+    # contents of |lambda| <= 3 but inside the window of D = 6
+    with pytest.raises(ContentPoleError):
+        det_rep_two_side(RationalContent([1], [-5]), 1, 1, 6)
+
+
 def test_det_two_side_prefactor_degenerations():
     # N = 1: no prefactor; r = 1: no prefactor; HCIZ: inverse superfactorial
     assert det_two_side_prefactor(RationalContent(a=[5]), 3, 1) == 1
@@ -280,7 +307,7 @@ def test_symmetry_checks():
 
 def test_tau_series_numeric_sides_golden():
     # sha256 of the sorted to_json() table, recorded when numeric sides always
-    # took the h-determinant on lambda; every Jacobi-Trudi path must match it
+    # took the h-determinant on lambda; the border-strip engine must match it
     import hashlib
     import json
 
@@ -331,7 +358,7 @@ def jacobi_trudi_polyseries(ts, ring):
         tsym = Times.symbolic(ring, max(K, 1))
         out = ring.zero()
         for lam, c in ts.coeffs.items():
-            out = out + schur(lam, tsym) * c
+            out = out + jacobi_trudi(tsym, lam) * c
         return out
     ring_K = ring.nvars() // 2
     K = min(ts.D, ring_K)
@@ -339,7 +366,7 @@ def jacobi_trudi_polyseries(ts, ring):
     ssym = Times.symbolic(small, max(K, 1))
     out = ring.zero()
     for lam, c in ts.coeffs.items():
-        s = schur(lam, ssym)
+        s = jacobi_trudi(ssym, lam)
         if not isinstance(s, PolySeries):
             s = small.const(s)
         out = out + _cross(ring, ring_K, s, s) * c
@@ -390,7 +417,7 @@ def miwa_jacobi_trudi_side(coeffs, blocks, ring):
     for lam, c in coeffs.items():
         term = ring.const(c)
         for t in times:
-            term = term * schur(lam, t)
+            term = term * jacobi_trudi(t, lam)
         series = series + term
     for xs in blocks:
         for i in range(len(xs)):
