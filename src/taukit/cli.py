@@ -476,6 +476,7 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     fracs, ints, frac = _arg(_frac_list), _arg(_int_list), _arg(Fraction)
     content, side, partition = _arg(parse_content), _arg(parse_side), _arg(Partition.parse)
+    nonneg = _arg(_nonneg_int)
     p = argparse.ArgumentParser(prog="taukit", description=__doc__)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--manifest", help="write a run manifest (config + digest) to this file")
@@ -486,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--t", type=side, required=True)
     sp.add_argument("--tstar", type=side, required=True)
-    sp.add_argument("--deg", type=int, required=True)
+    sp.add_argument("--deg", type=nonneg, required=True)
     sp.set_defaults(func=cmd_tau)
 
     hyper = sub.add_parser("hyper", help="hypergeometric families").add_subparsers(
@@ -497,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     hp.add_argument("--b", type=fracs, default="")
     hp.add_argument("--m", type=int, default=0)
     hp.add_argument("--x", type=fracs, default=None)
-    hp.add_argument("--deg", type=int, required=True)
+    hp.add_argument("--deg", type=nonneg, required=True)
     hp.set_defaults(func=cmd_hyper_pfs)
     ht = hyper.add_parser("two")
     ht.add_argument("--a", type=fracs, default="")
@@ -505,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     ht.add_argument("--m", type=int, default=0)
     ht.add_argument("--x", type=fracs, required=True)
     ht.add_argument("--y", type=fracs, required=True)
-    ht.add_argument("--deg", type=int, required=True)
+    ht.add_argument("--deg", type=nonneg, required=True)
     ht.set_defaults(func=cmd_hyper_two)
     hq = hyper.add_parser("qphi")
     hq.add_argument("--a", type=ints, default="")
@@ -514,13 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
     hq.add_argument("--m", type=int, default=0)
     hq.add_argument("--x", type=fracs, required=True)
     hq.add_argument("--y", type=fracs, default=None)
-    hq.add_argument("--deg", type=int, required=True)
+    hq.add_argument("--deg", type=nonneg, required=True)
     hq.set_defaults(func=cmd_hyper_qphi)
 
     mp = sub.add_parser("model", help="matrix-model series")
     mp.add_argument("which", choices=["quartic", "two", "hciz", "nmm", "gw", "unitary", "gen43", "loop"])
     mp.add_argument("--order", type=int, default=2)
-    mp.add_argument("--deg", type=int, default=6)
+    mp.add_argument("--deg", type=nonneg, default=6)
     mp.add_argument("--n", type=int, default=2)
     mp.add_argument("--u", type=fracs, default="")
     mp.add_argument("--x", type=fracs, default="")
@@ -538,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     fv.add_argument("--suite", required=True, choices=["heisenberg", "lemma1", "prop3", "trace"])
     fv.add_argument("--r", type=content, default="one")
     fv.add_argument("--n", type=int, default=0)
-    fv.add_argument("--deg", type=int, default=4)
+    fv.add_argument("--deg", type=nonneg, default=4)
     fv.set_defaults(func=cmd_fock)
 
     op = sub.add_parser("oracle", help="Monte Carlo / Wick / quadrature oracles")
@@ -554,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--powers", type=ints, default="4")
     op.add_argument("--contour", default="imag",
                     choices=["imag", "circle", "unit", "halfline"])
-    op.add_argument("--moment", type=_arg(_nonneg_int), default=1)
-    op.add_argument("--moment2", type=_arg(_nonneg_int), default=None)
+    op.add_argument("--moment", type=nonneg, default=1)
+    op.add_argument("--moment2", type=nonneg, default=None)
     op.add_argument("--a-param", type=frac, default="-1",
                     help="exponent parameter for the unit-interval measure")
     op.add_argument("--tol", type=float, default=1e-6)
@@ -563,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="identity verification suites")
     vp.add_argument("what", choices=["cauchy", "hirota", "ode", "qdiff", "det", "symmetry", "all"])
-    vp.add_argument("--deg", type=int, default=6)
+    vp.add_argument("--deg", type=nonneg, default=6)
     vp.add_argument("--n", type=int, default=1)
     vp.add_argument("--r", type=content, default="rational:a=2")
     vp.add_argument("--a", type=fracs, default="1/2,1/3")

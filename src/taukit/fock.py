@@ -1,12 +1,15 @@
 """Truncated charged free-fermion Fock space on the partition/Maya basis.
 
-A basis state is a pair (lambda, n): the Maya particle configuration
+A basis state |lambda, n> is the Maya particle configuration
 { n + lambda_i - i : i >= 1 } on the integer lattice, with every site deep
-enough always occupied.  All operators used here move one particle at a
-time; the fermionic sign of a move is (-1)^(number of occupied sites
-strictly between source and target), which is the wedge-ordering sign for
-the annihilate-then-create order and is validated against the classical
-sign formulas by the test suite.
+enough always occupied.  It is held as its charge n and the bead mask of
+lambda (symfun's, Macdonald I.1 Ex. 7): bit b stands for the site
+b + n - l(lambda), bit 0 is clear and every site below it is occupied.  All
+operators used here move one particle at a time, two bit flips on the mask;
+the fermionic sign of a move is (-1)^(number of occupied sites strictly
+between source and target), which is the wedge-ordering sign for the
+annihilate-then-create order and is validated against the classical sign
+formulas by the test suite.
 
 Coefficients are duck-typed: exact Fractions for numeric work, PolySeries
 for symbolic times.
@@ -18,69 +21,105 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .partitions import Partition, partitions_of
-from .symfun import PolySeries
+from .symfun import PolySeries, _key
 from .weights import ContentFunction
 
 # z_mu^-1 coefficients for expressing h_k in power sums are rebuilt on the
 # fly; they are tiny for the weights used here.
 
+_set = object.__setattr__
+
 
 class FockState:
-    """Basis vector |lambda, n>."""
+    """Basis vector |lambda, n>, held as (charge, bead mask) plus its weight.
 
-    __slots__ = ("lam", "charge")
+    Equality and hashing read charge and mask; the partition is built from
+    the mask only when ``lam`` is asked for, and then kept.
+    """
+
+    __slots__ = ("charge", "mask", "weight", "_lam")
 
     def __init__(self, lam: Partition, charge: int):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "charge", int(charge))
+        _set(self, "charge", int(charge))
+        _set(self, "mask", _key(lam.parts))
+        _set(self, "weight", lam.weight)
+        _set(self, "_lam", lam)
+
+    @classmethod
+    def _of(cls, charge: int, mask: int, weight: int) -> "FockState":
+        """The state with a canonical bead mask (bit 0 clear) of that weight."""
+        st = cls.__new__(cls)
+        _set(st, "charge", charge)
+        _set(st, "mask", mask)
+        _set(st, "weight", weight)
+        _set(st, "_lam", None)
+        return st
 
     def __setattr__(self, *a):
         raise AttributeError("FockState is immutable")
 
     @property
-    def weight(self) -> int:
-        return self.lam.weight
+    def lam(self) -> Partition:
+        if self._lam is None:
+            mask = self.mask
+            beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+            _set(self, "_lam", Partition([b - i for i, b in enumerate(beads)][::-1]))
+        return self._lam
 
     def maya(self, floor: int) -> list[int]:
         """Occupied sites >= floor, descending (all sites < floor occupied).
 
         floor must not exceed charge - length(lam) or deep rows would be cut.
         """
-        n, lam = self.charge, self.lam
-        if floor > n - lam.length:
+        mask = self.mask
+        base = self.charge - mask.bit_count()  # the site of bit 0
+        if floor > base:
             raise ValueError("floor cuts into the partition rows")
-        out = []
-        i = 1
-        while True:
-            pos = n + lam.part(i) - i
-            if pos < floor:
-                break
-            out.append(pos)
-            i += 1
-        return out
+        beads = [b + base for b in range(mask.bit_length() - 1, 0, -1) if mask >> b & 1]
+        return beads + list(range(base - 1, floor - 1, -1))
 
     def __eq__(self, other):
         return (
             isinstance(other, FockState)
-            and self.lam == other.lam
+            and self.mask == other.mask
             and self.charge == other.charge
         )
 
     def __hash__(self):
-        return hash((self.lam, self.charge))
+        return hash((self.charge, self.mask))
 
     def __repr__(self):
         return f"|{self.lam}, {self.charge}>"
 
 
-def _state_from_maya(positions: list[int], floor: int, charge: int) -> FockState:
-    """Rebuild (lambda, charge) from explicit occupied sites >= floor."""
-    parts = []
-    for i, pos in enumerate(positions, start=1):
-        parts.append(pos - charge + i)
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return FockState(Partition(parts), charge)
+def _canonical(beads: int) -> int:
+    """Drop the run of occupied sites at the bottom of a padded bead mask."""
+    return beads >> (~beads & (beads + 1)).bit_length() - 1
+
+
+def _moves(mask: int, shift: int) -> list[tuple[int, int, int]]:
+    """Every single-particle move b -> b - shift on the bead mask ``mask``,
+    sources in descending order, as (source bit, sign, canonical new mask).
+
+    For shift < 0 the mask is first padded with -shift sea beads, the only
+    ones below bit 0 that can rise to a free site, so a source bit may be
+    negative; the sign is (-1)^(beads strictly between source and target).
+    """
+    pad = -shift if shift < 0 else 0
+    beads = mask << pad | (1 << pad) - 1
+    if shift > 0:
+        movable = beads & ~(beads << shift) & ~((1 << shift) - 1)
+    else:
+        movable = beads & ~(beads >> pad)
+    out = []
+    while movable:
+        src = movable.bit_length() - 1
+        movable ^= 1 << src
+        dst = src - shift
+        lo, hi = (dst, src) if shift > 0 else (src, dst)
+        between = (beads >> lo + 1 & (1 << hi - lo - 1) - 1).bit_count()
+        out.append((src - pad, -1 if between & 1 else 1, _canonical(beads ^ 1 << src ^ 1 << dst)))
+    return out
 
 
 class WindowOverflowError(RuntimeError):
@@ -122,11 +161,7 @@ class FockVector:
             raise ValueError("cutoff mismatch")
         out = dict(self.amps)
         for st, c in other.amps.items():
-            s = out.get(st, 0) + c
-            if _is_zero(s):
-                out.pop(st, None)
-            else:
-                out[st] = s
+            _accum(out, st, c)
         return FockVector(out, self.cutoff, self.truncated or other.truncated)
 
     def scaled(self, c) -> "FockVector":
@@ -154,6 +189,15 @@ def _is_zero(c) -> bool:
     return c == 0
 
 
+def _accum(d: dict, st: FockState, val):
+    prev = d.get(st)
+    s = val if prev is None else prev + val
+    if _is_zero(s):
+        d.pop(st, None)
+    else:
+        d[st] = s
+
+
 def pair(bra: FockVector, ket: FockVector):
     """Orthonormal pairing <lambda,n | mu,m> = delta delta, bilinear."""
     small, big = (bra, ket) if len(bra.amps) <= len(ket.amps) else (ket, bra)
@@ -167,35 +211,7 @@ def pair(bra: FockVector, ket: FockVector):
     return Fraction(0) if total is None else total
 
 
-# -- elementary moves -------------------------------------------------------
-
-
-def _single_moves(state: FockState, shift: int, weight_of: Callable[[int, int], object]):
-    """All single-particle moves source -> source - shift.
-
-    Yields (coefficient, new_state).  weight_of(src, dst) returns the scalar
-    carried by the move (before the fermionic sign); the sign is
-    (-1)^(occupied sites strictly between source and target).
-    """
-    n, lam = state.charge, state.lam
-    floor = n - lam.length - abs(shift) - 1
-    maya = state.maya(floor)
-    occ = set(maya)
-    for src in maya:
-        dst = src - shift
-        if dst < floor:
-            continue  # deep in the sea: target occupied
-        if dst in occ:
-            continue
-        lo, hi = (src, dst) if src < dst else (dst, src)
-        between = sum(1 for p in occ if lo < p < hi)
-        w = weight_of(src, dst)
-        if _is_zero(w):
-            continue
-        if between % 2:
-            w = w * (-1)
-        new_positions = sorted((occ - {src}) | {dst}, reverse=True)
-        yield (w, _state_from_maya(new_positions, floor, n))
+# -- one-particle operators ---------------------------------------------------
 
 
 def _range_product(r: ContentFunction, lo: int, hi: int):
@@ -215,6 +231,9 @@ class FockOperator:
                  + prod r over the traversed window (src, src+m]
       At(m, rt): lowering family with rt over (src-m, src]
       diag(f):   multiplies |lambda, n> by f(lambda, n)
+
+    The r-window products are kept per operator, keyed by the window's
+    lower end.
     """
 
     def __init__(self, kind: str, m: int = 0, r: Optional[ContentFunction] = None,
@@ -223,6 +242,7 @@ class FockOperator:
         self.m = m
         self.r = r
         self.diag_fn = diag_fn
+        self._windows: dict[int, Fraction] = {}
 
     @classmethod
     def H(cls, m: int) -> "FockOperator":
@@ -250,37 +270,39 @@ class FockOperator:
 
     def apply(self, v: FockVector) -> FockVector:
         out: dict = {}
-        truncated = v.truncated
-        for st, c in v.amps.items():
-            if self.kind == "diag":
+        cutoff, truncated = v.cutoff, v.truncated
+        if self.kind == "diag":
+            for st, c in v.amps.items():
                 val = self.diag_fn(st.lam, st.charge)
                 if not _is_zero(val):
                     _accum(out, st, c * val)
+            return FockVector(out, cutoff, truncated)
+        m, r, windows = self.m, self.r, self._windows
+        # a move src -> src - shift lowers |lambda| by shift; an r-window
+        # (lo, lo + m] starts at the target when lowering, at the source when raising
+        shift = -m if self.kind == "mA" else m
+        below = m if self.kind == "At" else 0
+        for st, c in v.amps.items():
+            weight = st.weight - shift
+            over = weight > cutoff
+            if over and truncated:
                 continue
-            if self.kind == "H":
-                shift, wfn = self.m, (lambda s, d: Fraction(1))
-            elif self.kind == "mA":
-                r = self.r
-                shift = -self.m
-                wfn = lambda s, d, r=r: _range_product(r, s, d)
-            else:  # At
-                r = self.r
-                shift = self.m
-                wfn = lambda s, d, r=r: _range_product(r, d, s)
-            for w, ns in _single_moves(st, shift, wfn):
-                if ns.weight > v.cutoff:
+            n = st.charge
+            base = n - st.mask.bit_count()
+            for src, sign, mask in _moves(st.mask, shift):
+                if r is not None:
+                    lo = src + base - below
+                    w = windows.get(lo)
+                    if w is None:
+                        w = windows[lo] = _range_product(r, lo, lo + m)
+                    if not w:
+                        continue
+                if over:
                     truncated = True
-                    continue
-                _accum(out, ns, c * w)
-        return FockVector(out, v.cutoff, truncated)
-
-
-def _accum(d: dict, st: FockState, val):
-    s = d.get(st, 0) + val
-    if _is_zero(s):
-        d.pop(st, None)
-    else:
-        d[st] = s
+                    break
+                val = c if r is None else c * w
+                _accum(out, FockState._of(n, mask, weight), val if sign > 0 else -val)
+        return FockVector(out, cutoff, truncated)
 
 
 # -- polynomial families ----------------------------------------------------
@@ -334,14 +356,14 @@ def schur_of_operators(
     The determinant is expanded over permutations; family components commute
     so the ordering inside each product is immaterial.
     """
-    from itertools import permutations
+    from itertools import combinations, permutations
 
     n = lam.length
     if n == 0:
         return v
     out = FockVector({}, v.cutoff)
     for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
         ks = [lam.part(i + 1) - (i + 1) + (perm[i] + 1) for i in range(n)]
         if any(k < 0 for k in ks):
             continue
@@ -355,22 +377,6 @@ def schur_of_operators(
     return out
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def exp_action(
     terms: Sequence[tuple[object, FockOperator]], v: FockVector
 ) -> FockVector:
@@ -379,24 +385,27 @@ def exp_action(
     The generator is applied as a whole, so the terms need not commute with
     each other for the truncation to be consistent (ours do anyway).
     """
-    out = v
+    cutoff, truncated = v.cutoff, v.truncated
+    out = dict(v.amps)
     acc = v
     k = 1
     while True:
-        nxt = FockVector({}, v.cutoff)
+        nxt: dict = {}
         for c, op in terms:
             piece = op.apply(acc)
-            if not piece.is_zero():
-                nxt = nxt + piece.scaled(c)
-        nxt = nxt.scaled(Fraction(1, k))
-        if nxt.is_zero():
+            truncated = truncated or piece.truncated
+            ck = c * Fraction(1, k)
+            for st, a in piece.amps.items():
+                _accum(nxt, st, a * ck)
+        if not nxt:
             break
-        out = out + nxt
-        acc = nxt
+        for st, a in nxt.items():
+            _accum(out, st, a)
+        acc = FockVector(nxt, cutoff, truncated)
         k += 1
-        if k > 4 * v.cutoff + 8:
+        if k > 4 * cutoff + 8:
             raise WindowOverflowError("exponential failed to truncate")
-    return out
+    return FockVector(out, cutoff, truncated)
 
 
 # -- single fermion modes ---------------------------------------------------
@@ -412,28 +421,22 @@ def psi_apply(v: FockVector, site: int, create: bool) -> FockVector:
     out: dict = {}
     truncated = v.truncated
     for st, c in v.amps.items():
-        n, lam = st.charge, st.lam
-        floor = min(site, n - lam.length) - 1
-        maya = st.maya(floor)
-        occ = set(maya)
+        b = site - st.charge + st.mask.bit_count()  # the site's bit; the sea lies below 0
+        pad = -b if b < 0 else 0
+        beads = st.mask << pad | (1 << pad) - 1
+        b += pad
+        if bool(beads >> b & 1) is create:
+            continue  # Pauli: the site is already occupied, or has nothing to remove
+        L = beads.bit_count()
         if create:
-            if site in occ or site < floor:
-                continue
-            above = sum(1 for p in occ if p > site)
-            sign = -1 if above % 2 else 1
-            positions = sorted(occ | {site}, reverse=True)
-            ns = _state_from_maya(positions, floor, n + 1)
+            beads, weight = beads | 1 << b, st.weight + b - L
         else:
-            if site not in occ:
-                continue
-            above = sum(1 for p in occ if p > site)
-            sign = -1 if above % 2 else 1
-            positions = sorted(occ - {site}, reverse=True)
-            ns = _state_from_maya(positions, floor, n - 1)
-        if ns.weight > v.cutoff:
+            beads, weight = beads ^ 1 << b, st.weight - b + L - 1
+        if weight > v.cutoff:
             truncated = True
             continue
-        _accum(out, ns, c * sign)
+        ns = FockState._of(st.charge + (1 if create else -1), _canonical(beads), weight)
+        _accum(out, ns, -c if (beads >> b + 1).bit_count() & 1 else c)
     return FockVector(out, v.cutoff, truncated)
 
 

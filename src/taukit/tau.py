@@ -201,7 +201,9 @@ def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int, size: Op
 
     Scanning away from the charge over the window of |lambda| <= D, a zero
     of r truncates the series (no partition can reach past it), while a
-    pole before any zero is an error.
+    pole before any zero is an error.  Partitions come graded by weight, so
+    r_lambda(n) is that of lambda without its last row, already weighed,
+    times the content product of that row.
     """
 
     def reach(step: int, limit: int) -> int:
@@ -219,8 +221,12 @@ def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int, size: Op
     row_cap = reach(-1, max(lmax, 1))
     col_cap = reach(1, max(D, 1))
     size = D if size is None else size
+    weights = {(): Fraction(1)}
     for lam in enumerate_partitions(size, length_max=min(lmax, row_cap), col_max=col_cap):
-        c = content_product(r, n, lam)
+        c = weights[lam.parts[:-1]]
+        if c:
+            c *= content_product(r, n + 1 - lam.length, Partition(lam.parts[-1:]))
+        weights[lam.parts] = c
         if c:
             yield lam, c
 

@@ -280,6 +280,24 @@ def test_bad_value_exits_two_naming_its_option(capsys, option, argv):
     assert f"argument {option}: invalid value" in err, err
 
 
+NEGATIVE_DEG = [
+    ["tau", "--r", "one", "--n", "0", "--t", "t:2", "--tstar", "t:2"],
+    ["hyper", "pfs", "--x", "1"],
+    ["hyper", "two", "--x", "1", "--y", "1"],
+    ["hyper", "qphi", "--q", "1/2", "--x", "1"],
+    ["model", "quartic"],
+    ["fock", "verify", "--suite", "trace"],
+    *(["verify", what] for what in ("cauchy", "hirota", "ode", "qdiff", "det", "symmetry", "all")),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_DEG, ids=[" ".join(w for w in a[:2] if w[0] != "-") for a in NEGATIVE_DEG])
+def test_negative_deg_exits_two_naming_deg(capsys, argv):
+    assert main([*argv, "--deg", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --deg: invalid value '-1' (must be >= 0)" in err, err
+
+
 @pytest.mark.parametrize("a", ["1", "3/2", "2"])
 def test_oracle_mu_unit_diverging_a_exits_two(capsys, a):
     assert main(["oracle", "mu", "--contour", "unit", f"--a-param={a}"]) == 2

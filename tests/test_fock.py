@@ -2,7 +2,9 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fock_reference
 from taukit.partitions import Partition, SkewShape, enumerate_partitions, partitions_of
 from taukit.symfun import PolyRing, PolySeries, Times, schur, skew_schur, standard_product
 from taukit.fock import (
@@ -14,6 +16,7 @@ from taukit.fock import (
     lemma1_check,
     lemma_partition,
     pair,
+    psi_apply,
     schur_of_operators,
     state_from_modes,
     trace_h0,
@@ -250,3 +253,62 @@ def test_window_truncation_flag():
     v = FockVector.vacuum(0, 2)
     w = FockOperator.H(-3).apply(v)
     assert w.is_zero() and w.truncated
+
+
+# -- bead-mask moves against the list-of-sites reference ----------------------
+
+partitions_to_8 = st.sampled_from(list(enumerate_partitions(8)))
+charges = st.integers(-3, 3)
+# r(k) = k - 1 vanishes at 1, so some windows weigh zero and their moves drop
+contents = st.sampled_from([ONE, R_HALF, LIN, RationalContent(a=[-1])])
+
+
+@st.composite
+def vectors(draw):
+    """A combination of up to three basis states and a cutoff that may cut
+    the input or its image (up to 5 above the largest weight)."""
+    states = draw(st.lists(st.tuples(partitions_to_8, charges), min_size=1, max_size=3, unique=True))
+    coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=5).filter(bool),
+                           min_size=len(states), max_size=len(states)))
+    cutoff = draw(st.integers(0, max(lam.weight for lam, _ in states) + 5))
+    return FockVector({FockState(lam, n): c for (lam, n), c in zip(states, coeffs)}, cutoff)
+
+
+operators = st.one_of(
+    st.builds(FockOperator.H, st.integers(1, 5)),
+    st.builds(FockOperator.H, st.integers(-5, -1)),
+    st.builds(FockOperator.minus_A, st.integers(1, 5), contents),
+    st.builds(FockOperator.A_tilde, st.integers(1, 5), contents),
+)
+
+
+@given(operators, vectors())
+@settings(max_examples=300, deadline=None)
+def test_moves_equal_reference(op, v):
+    w = op.apply(v)
+    assert (w.amps, w.truncated) == fock_reference.apply(op, v)
+
+
+@given(vectors(), st.integers(-12, 12), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_psi_apply_equals_reference(v, site, create):
+    w = psi_apply(v, site, create)
+    assert (w.amps, w.truncated) == fock_reference.psi_apply(v, site, create)
+
+
+@given(partitions_to_8, charges, st.integers(0, 6), operators)
+@settings(max_examples=100, deadline=None)
+def test_state_round_trips(lam, n, depth, op):
+    st_ = FockState(lam, n)
+    assert st_.lam == lam and st_.weight == lam.weight
+    floor = n - lam.length - depth
+    assert st_.maya(floor) == fock_reference.maya(lam, n, floor)
+    with pytest.raises(ValueError):
+        st_.maya(n - lam.length + 1)
+    # states built by moves from bead masks equal, and hash like, the same
+    # states built from their partitions
+    for moved in op.apply(FockVector.basis(lam, n, 16)).amps:
+        again = FockState(moved.lam, moved.charge)
+        assert moved == again and hash(moved) == hash(again) and moved.weight == moved.lam.weight
+        assert moved.maya(floor - 6) == fock_reference.maya(moved.lam, n, floor - 6)
+        assert moved != FockState(moved.lam, n + 1)
