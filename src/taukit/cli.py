@@ -270,11 +270,12 @@ def cmd_fock(args) -> int:
                         if not rep["ok"]:
                             failures.append({"i": i_list, "j": j_list})
     elif suite == "prop3":
-        for lam in enumerate_partitions(args.deg):
-            for mu in enumerate_partitions(args.deg):
-                v = fock_mod.FockVector.vacuum(args.n, args.deg + 1)
-                a = fock_mod.schur_of_operators(lam, "H*", v)
-                b = fock_mod.schur_of_operators(mu, "-A", v, r=args.r)
+        v = fock_mod.FockVector.vacuum(args.n, args.deg + 1)
+        parts = list(enumerate_partitions(args.deg))
+        bras = [fock_mod.schur_of_operators(lam, "H*", v) for lam in parts]
+        kets = [fock_mod.schur_of_operators(mu, "-A", v, r=args.r) for mu in parts]
+        for lam, a in zip(parts, bras):
+            for mu, b in zip(parts, kets):
                 got = fock_mod.pair(a, b)
                 expect = content_product(args.r, args.n, lam) if lam == mu else Fraction(0)
                 if got != expect:

@@ -2,18 +2,22 @@
 
 Everything here is exact rational arithmetic.  The two workhorses are
 
-* ``PolySeries`` -- a multivariate polynomial over Fraction, truncated at a
-  fixed weighted total degree (variable i carries a weight, typically m for
-  the time t_m), and
+* ``PolySeries`` -- a multivariate polynomial with rational coefficients,
+  truncated at a fixed weighted total degree (variable i carries a weight,
+  typically m for the time t_m), and
 * ``Times`` -- a truncated vector (t_1, ..., t_K) of "higher times" whose
   entries are Fractions or PolySeries.
 
-The public ``PolySeries(ring, terms)`` drops zero coefficients and monomials
-above the ring cap.  Sums, differences, products, scalar multiples and
-derivatives build results that already satisfy both conditions, so they use
-a private trusted constructor that skips this filter; a product sorts the
-larger factor by weighted degree once and pairs each term of the other only
-with the terms that fit under the cap.
+A PolySeries is one dict {packed monomial: int numerator} over one positive
+denominator, with no common factor among them.  The ring packs each monomial
+into one int: an exponent field per variable, sized by the cap, under a
+weighted-degree field, so adding keys multiplies monomials and keys sort by
+degree.  Arithmetic is on Python ints: a sum brings both sides to the lcm
+of their denominators, a product pairs each term of the smaller factor with
+the prefix of the larger factor's sorted keys that fits under the cap, and
+every result is divided by the gcd of its numerators and denominator.  The
+public ``PolySeries(ring, {exponent tuple: coefficient})`` and the read-only
+``terms`` view speak in exponent tuples and Fractions.
 
 One border-strip engine evaluates every Schur function of a Times: s_lambda,
 s_{lambda/mu}, h_k = s_(k) and e_k = s_(1^k), by the Murnaghan-Nakayama
@@ -27,12 +31,12 @@ Eigenvalue specializations use the bialternant ratio with a Miwa-map fallback.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from functools import cache
-from itertools import islice
-from math import factorial, lcm, perm, prod
-from operator import add, itemgetter, mul
+from math import factorial, gcd, lcm, perm, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .partitions import Partition, SkewShape, enumerate_partitions, partitions_of
@@ -58,9 +62,17 @@ class PolyRing:
 
     Monomials of weighted total degree above ``cap`` are dropped on every
     operation, so a PolySeries is always a faithful truncation.
+
+    A monomial x^e is packed into one int: variable i keeps e_i in a field
+    at bit offset off_i, just wide enough for cap // w_i, and the weighted
+    degree sum_i e_i w_i sits above all fields, at bit ``_shift``.  The key
+    of x^e is sum_i e_i unit_i with unit_i = 2^off_i + w_i 2^_shift, so
+    adding two keys adds both exponents and degrees, and keys sort by degree
+    first (Monagan and Pearce, "Polynomial division using dynamic arrays,
+    heaps, and packed exponent vectors", CASC 2007).
     """
 
-    __slots__ = ("names", "weights", "cap")
+    __slots__ = ("names", "weights", "cap", "_fields", "_units", "_shift")
 
     def __init__(self, names: Sequence[str], weights: Sequence[int], cap: int):
         if len(names) != len(weights):
@@ -68,6 +80,17 @@ class PolyRing:
         self.names = tuple(names)
         self.weights = tuple(int(w) for w in weights)
         self.cap = int(cap)
+        if any(w < 1 for w in self.weights):
+            raise ValueError("variable weights must be >= 1")
+        fields = []  # (bit offset, mask) of each exponent field
+        off = 0
+        for w in self.weights:
+            width = (max(self.cap, 0) // w).bit_length()
+            fields.append((off, (1 << width) - 1))
+            off += width
+        self._fields = tuple(fields)
+        self._shift = off
+        self._units = tuple((1 << o) + (w << off) for (o, _), w in zip(fields, self.weights))
 
     @classmethod
     def times_ring(cls, K: int, cap: Optional[int] = None, prefix: str = "t") -> "PolyRing":
@@ -89,25 +112,35 @@ class PolyRing:
         return len(self.names)
 
     def zero(self) -> "PolySeries":
-        return PolySeries(self, {})
+        return PolySeries._of(self, {}, 1)
 
     def one(self) -> "PolySeries":
-        return PolySeries(self, {(0,) * self.nvars(): Fraction(1)})
+        return self.const(1)
 
     def const(self, c) -> "PolySeries":
         c = _as_fraction(c)
-        return PolySeries(self, {(0,) * self.nvars(): c} if c else {})
+        if not c or self.cap < 0:
+            return self.zero()
+        return PolySeries._of(self, {0: c.numerator}, c.denominator)
 
     def var(self, i: int) -> "PolySeries":
-        e = [0] * self.nvars()
-        e[i] = 1
-        return PolySeries(self, {tuple(e): Fraction(1)})
+        unit = self._units[i]
+        return PolySeries._of(self, {unit: 1}, 1) if self.weights[i] <= self.cap else self.zero()
 
     def degree_of(self, expo: tuple[int, ...]) -> int:
         return sum(map(mul, expo, self.weights))
 
+    def _pack(self, expo: Sequence[int]) -> Optional[int]:
+        """The key of the monomial x^expo, or None when it lies above the cap."""
+        if len(expo) != len(self._units) or any(e < 0 for e in expo):
+            raise ValueError(f"{tuple(expo)} is not an exponent vector of {self}")
+        return sum(map(mul, expo, self._units)) if self.degree_of(expo) <= self.cap else None
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        return tuple(key >> off & mask for off, mask in self._fields)
+
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.names == other.names
             and self.weights == other.weights
@@ -122,89 +155,141 @@ class PolyRing:
 
 
 class PolySeries:
-    """Truncated polynomial with exact Fraction coefficients.
+    """Truncated polynomial with exact rational coefficients.
 
-    Zero coefficients are never stored; monomials above the ring cap are
+    Held as {packed monomial: int numerator} over one positive denominator,
+    reduced so that the denominator and all numerators have gcd 1; zero
+    coefficients are never stored and monomials above the ring cap are
     dropped by construction.  Supports +, -, *, ** and mixed arithmetic with
     ints and Fractions so it can stand in for a scalar in generic code.
+    ``terms`` shows the coefficients as {exponent tuple: Fraction}.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_nums", "_den")
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: PolyRing, terms: Mapping):
+        coeffs = {}
+        for e, c in terms.items():
+            c = _as_fraction(c)
+            key = ring._pack(e)
+            if c and key is not None:
+                coeffs[key] = c
+        # over the lcm of reduced denominators the numerators have gcd 1 with it
+        den = lcm(*(c.denominator for c in coeffs.values()))
         self.ring = ring
-        self.terms = {
-            e: c
-            for e, c in terms.items()
-            if c != 0 and ring.degree_of(e) <= ring.cap
-        }
+        self._nums = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+        self._den = den
 
     @classmethod
-    def _trusted(cls, ring: PolyRing, terms: dict) -> "PolySeries":
-        """Wrap ``terms`` as they are: the caller guarantees that no
-        coefficient is zero and no monomial lies above the ring cap."""
+    def _of(cls, ring: PolyRing, nums: dict, den: int) -> "PolySeries":
+        """Wrap ``nums`` over ``den`` as they are: the caller guarantees that
+        they are reduced, no numerator is zero and no key lies above the cap."""
         out = cls.__new__(cls)
         out.ring = ring
-        out.terms = terms
+        out._nums = nums
+        out._den = den
         return out
+
+    @classmethod
+    def _reduced(cls, ring: PolyRing, nums: dict, den: int) -> "PolySeries":
+        """``_of`` after dividing numerators and denominator by their gcd."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: v // g for k, v in nums.items()}
+                den //= g
+        return cls._of(ring, nums, den)
+
+    @property
+    def terms(self) -> Mapping:
+        """The coefficients as a read-only {exponent tuple: Fraction} mapping,
+        unpacked on demand; its length is the number of terms."""
+        return _Terms(self)
 
     # -- ring arithmetic -----------------------------------------------
 
-    def _coerce(self, other) -> "PolySeries":
+    def _operand(self, other) -> tuple[dict, int]:
+        """(numerators, denominator) of a series of this ring or a scalar."""
         if isinstance(other, PolySeries):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("PolySeries from different rings")
-            return other
-        return self.ring.const(_as_fraction(other))
+            return other._nums, other._den
+        c = _as_fraction(other)
+        return ({0: c.numerator} if c and self.ring.cap >= 0 else {}), c.denominator
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+    def __add__(self, other, sign: int = 1):
+        b, db = self._operand(other)
+        if not b:
+            return self
+        a, da = self._nums, self._den
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        out = dict(a) if fa == 1 else {k: v * fa for k, v in a.items()}
+        get = out.get
+        for k, v in b.items():
+            s = get(k, 0) + v * fb
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                del out[e]
-        return PolySeries._trusted(self.ring, out)
+                del out[k]
+        return PolySeries._reduced(self.ring, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolySeries._trusted(self.ring, {e: -c for e, c in self.terms.items()})
+        return PolySeries._of(self.ring, {k: -v for k, v in self._nums.items()}, self._den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, PolySeries):
-            c = _as_fraction(other)
-            if not c:
-                return self.ring.zero()
-            return PolySeries._trusted(self.ring, {e: v * c for e, v in self.terms.items()})
-        if other.ring != self.ring:
-            raise ValueError("PolySeries from different rings")
+            return self._scaled(_as_fraction(other))
         ring = self.ring
-        cap = ring.cap
-        # the smaller factor runs outside; the larger one is sorted by weighted
-        # degree once, so each outer term meets only the terms that fit under
-        # the cap, a prefix of that order
-        a, b = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        degree_of = ring.degree_of
-        graded = sorted(((degree_of(e), e, c) for e, c in b.items()), key=itemgetter(0))
-        degrees = [d for d, _, _ in graded]
+        if other.ring is not ring and other.ring != ring:
+            raise ValueError("PolySeries from different rings")
+        a, b = self._nums, other._nums
+        if len(a) > len(b):
+            a, b = b, a
+        # a key below (cap + 1) << shift - ka meets the term ka under the cap
+        top = (ring.cap + 1) << ring._shift
+        if len(a) == 1:
+            (ka, va), = a.items()
+            limit = top - ka
+            out = {ka + kb: va * vb for kb, vb in b.items() if kb < limit}
+            return PolySeries._reduced(ring, out, self._den * other._den)
+        # keys sort by degree, so those keys are a prefix of the sorted ones
+        items = sorted(b.items())
+        keys = [k for k, _ in items]
         out: dict = {}
-        for ea, ca in a.items():
-            for _, eb, cb in islice(graded, bisect_right(degrees, cap - degree_of(ea))):
-                e = tuple(map(add, ea, eb))
-                s = out.get(e)
-                out[e] = ca * cb if s is None else s + ca * cb
-        return PolySeries._trusted(ring, {e: c for e, c in out.items() if c})
+        get = out.get
+        for ka, va in a.items():
+            for kb, vb in items[:bisect_left(keys, top - ka)]:
+                k = ka + kb
+                out[k] = get(k, 0) + va * vb
+        return PolySeries._reduced(ring, {k: v for k, v in out.items() if v}, self._den * other._den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Fraction) -> "PolySeries":
+        """c times the series; the result is reduced by two small gcds, as
+        the series is already reduced and c is in lowest terms."""
+        p, q = c.numerator, c.denominator
+        if not p:
+            return self.ring.zero()
+        if p == q == 1:
+            return self
+        g = gcd(p, self._den)
+        h = gcd(q, *self._nums.values()) if q != 1 else 1
+        p //= g
+        return PolySeries._of(
+            self.ring,
+            {k: v // h * p for k, v in self._nums.items()},
+            self._den // g * (q // h),
+        )
 
     def __pow__(self, n: int):
         if n < 0:
@@ -221,82 +306,116 @@ class PolySeries:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
-        return isinstance(other, PolySeries) and self.ring == other.ring and self.terms == other.terms
+        return (
+            isinstance(other, PolySeries)
+            and self.ring == other.ring
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self._den, frozenset(self._nums.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._nums)
 
     # -- calculus and structure ------------------------------------------
 
     def diff(self, i: int) -> "PolySeries":
         """Partial derivative with respect to variable i."""
+        off, mask = self.ring._fields[i]
+        unit = self.ring._units[i]
         out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = c * e[i]
-        return PolySeries._trusted(self.ring, out)
+        for k, v in self._nums.items():
+            e = k >> off & mask
+            if e:
+                out[k - unit] = v * e
+        return PolySeries._reduced(self.ring, out, self._den)
+
+    def truncate(self, ring: PolyRing) -> "PolySeries":
+        """The series in a ring of the same variables and a cap no higher."""
+        if ring.names != self.ring.names or ring.weights != self.ring.weights or ring.cap > self.ring.cap:
+            raise ValueError(f"cannot truncate a series of {self.ring} to {ring}")
+        top = (ring.cap + 1) << self.ring._shift
+        kept = [(k, v) for k, v in self._nums.items() if k < top]
+        keys = [k for k, _ in kept]
+        # a field that narrows leaves zero bits on top of every kept exponent;
+        # squeezing them out, highest first, gives the layout of ``ring``
+        for (off, old), (_, new) in reversed(list(zip(self.ring._fields, ring._fields))):
+            if old != new:
+                at, gap = off + new.bit_length(), old.bit_length() - new.bit_length()
+                low = (1 << at) - 1
+                keys = [k & low | k >> gap + at << at for k in keys]
+        return PolySeries._reduced(ring, dict(zip(keys, (v for _, v in kept))), self._den)
 
     def coefficient(self, expo: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
+        key = self.ring._pack(expo)
+        return Fraction(self._nums.get(key, 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.nvars(), Fraction(0))
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def scale_vars(self, factors: Sequence[Fraction]) -> "PolySeries":
-        """Substitute x_i -> factors[i] * x_i."""
+        """Substitute x_i -> factors[i] * x_i.
+
+        With f_i = p_i / q_i and M_i the largest exponent of x_i in the
+        series, a term x^e gains prod_i p_i^e_i q_i^(M_i - e_i) over the
+        common prod_i q_i^M_i, read from one power table per variable (for
+        an integer f_i, one over every exponent its field can hold).
+        """
+        tables = []  # (offset, mask, p^e q^(M - e) for e = 0..M)
+        den = self._den
+        for (off, mask), f in zip(self.ring._fields, factors):
+            f = _as_fraction(f)
+            if f == 1:
+                continue
+            p, q = f.numerator, f.denominator
+            M = mask if q == 1 else max((k >> off & mask for k in self._nums), default=0)
+            tables.append((off, mask, [p**e * q ** (M - e) for e in range(M + 1)]))
+            den *= q**M
         out = {}
-        for e, c in self.terms.items():
-            f = c
-            for ei, fac in zip(e, factors):
-                if ei:
-                    f *= _as_fraction(fac) ** ei
-            if f:
-                out[e] = f
-        return PolySeries(self.ring, out)
+        for k, v in self._nums.items():
+            for off, mask, table in tables:
+                v *= table[k >> off & mask]
+            if v:
+                out[k] = v
+        return PolySeries._reduced(self.ring, out, den)
 
     def rename_swap(self, perm: Sequence[int]) -> "PolySeries":
         """Permute variable slots: new exponent vector e'[perm[i]] = e[i]."""
+        ring = self.ring
+        n = ring.nvars()
+        half = n // 2
+        if list(perm) == [*range(half, n), *range(half)] and ring.weights[:half] == ring.weights[half:]:
+            # the two blocks share one layout: swap them with two masks and two shifts
+            top = ring._shift
+            width = top // 2
+            low = (1 << width) - 1
+            out = {k >> top << top | (k & low) << width | k >> width & low: v for k, v in self._nums.items()}
+            return PolySeries._of(ring, out, self._den)
+        unpack, units, weights = ring._unpack, ring._units, ring.weights
         out = {}
-        for e, c in self.terms.items():
-            e2 = [0] * len(e)
-            for i, ei in enumerate(e):
-                e2[perm[i]] = ei
-            out[tuple(e2)] = c
-        return PolySeries(self.ring, out)
-
-    def subs(self, values: Sequence) -> Fraction:
-        """Evaluate at exact rational values (full substitution)."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for ei, x in zip(e, values):
-                if ei:
-                    v *= _as_fraction(x) ** ei
-            total += v
-        return total
+        for k, v in self._nums.items():
+            e = [0] * n
+            for i, ei in enumerate(unpack(k)):
+                e[perm[i]] = ei
+            if sum(map(mul, e, weights)) <= ring.cap:
+                out[sum(map(mul, e, units))] = v
+        return PolySeries._reduced(ring, out, self._den)
 
     def to_json_dict(self) -> dict:
         """{"e1,e2,...": "num/den"} with keys sorted, for stable output."""
-        items = {}
-        for e in sorted(self.terms):
-            items[",".join(map(str, e))] = _num_den(self.terms[e])
-        return items
+        return {",".join(map(str, e)): _num_den(c) for e, c in sorted(self.terms.items())}
 
     def __repr__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         bits = []
-        for e in sorted(self.terms, key=lambda e: (self.ring.degree_of(e), e)):
-            c = self.terms[e]
+        degree_of = self.ring.degree_of
+        for e, c in sorted(self.terms.items(), key=lambda ec: (degree_of(ec[0]), ec[0])):
             mono = "*".join(
                 f"{n}^{k}" if k > 1 else n
                 for n, k in zip(self.ring.names, e)
@@ -304,6 +423,40 @@ class PolySeries:
             )
             bits.append(f"({c}){'*' + mono if mono else ''}")
         return " + ".join(bits)
+
+
+class _Terms(Mapping):
+    """Read-only {exponent tuple: Fraction} view of a PolySeries."""
+
+    __slots__ = ("_series",)
+
+    def __init__(self, series: PolySeries):
+        self._series = series
+
+    def __len__(self):
+        return len(self._series._nums)
+
+    def __iter__(self):
+        return map(self._series.ring._unpack, self._series._nums)
+
+    def __getitem__(self, expo):
+        s = self._series
+        v = s._nums.get(s.ring._pack(expo))
+        if v is None:
+            raise KeyError(expo)
+        return Fraction(v, s._den)
+
+    def items(self):
+        return _TermItems(self)
+
+
+class _TermItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        s = self._mapping._series
+        unpack, den = s.ring._unpack, s._den
+        return ((unpack(k), Fraction(v, den)) for k, v in s._nums.items())
 
 
 def exp_series(f: PolySeries) -> PolySeries:
@@ -444,9 +597,11 @@ def _det(rows: list[list]) -> object:
                 continue
             if isinstance(entry, PolySeries) and entry.is_zero():
                 continue
-            sub = expand(row + 1, cols[:pos] + cols[pos + 1:])
-            piece = entry * sub if pos % 2 == 0 else -(entry * sub)
-            acc = piece if acc is None else acc + piece
+            piece = entry * expand(row + 1, cols[:pos] + cols[pos + 1:])
+            if acc is None:
+                acc = piece if pos % 2 == 0 else -piece
+            else:
+                acc = acc + piece if pos % 2 == 0 else acc - piece
         if acc is None:
             acc = Fraction(0)
         memo[cols] = acc
@@ -570,18 +725,18 @@ def standard_product(f: PolySeries, g: PolySeries) -> Fraction:
     """
     if f.ring != g.ring:
         raise ValueError("scalar product needs a common ring")
-    weights = f.ring.weights
+    weights, unpack = f.ring.weights, f.ring._unpack
     total = Fraction(0)
-    for e, cf in f.terms.items():
-        cg = g.terms.get(e)
-        if cg is None:
+    for k, vf in f._nums.items():
+        vg = g._nums.get(k)
+        if vg is None:
             continue
-        z = Fraction(1)
-        for em, m in zip(e, weights):
+        z = Fraction(vf * vg)
+        for em, m in zip(unpack(k), weights):
             if em:
                 z *= Fraction(factorial(em), m**em)
-        total += cf * cg * z
-    return total
+        total += z
+    return total / (f._den * g._den)
 
 
 @cache
@@ -631,47 +786,53 @@ def schur_expansion(ring: PolyRing, coeffs: dict, sides: int) -> PolySeries:
     [t^e] s_lambda = chi^lambda_mu / prod_m e_m!, where mu has e_m parts m,
     so the degree-d part is X_d^T c (one side) or X_d^T diag(c) X_d (two
     sides) for the integer character table X_d.  Each degree brings its
-    c_lambda to one common denominator L, sums Python ints and emits one
-    Fraction per monomial.  Parts larger than the block width and degrees
-    above the ring cap are dropped.
+    c_lambda to one common denominator L_d and sums Python ints; every
+    prod_m e_m! divides d!, so over the lcm of L_d (d!)^sides each sum is one
+    integer numerator.  Parts larger than the block width and degrees above
+    the ring cap are dropped.
     """
     K = ring.nvars() // sides
     if ring.weights != tuple(range(1, K + 1)) * sides:
         raise ValueError("schur_expansion needs a ring of times t_m of weight m")
     graded: dict[int, list] = {}
     for lam, c in coeffs.items():
-        if c:
+        if c and lam.weight * sides <= ring.cap:
             graded.setdefault(lam.weight, []).append((lam, _as_fraction(c)))
+    lcms = {d: lcm(*(c.denominator for _, c in entries)) for d, entries in graded.items()}
+    den = lcm(*(L * factorial(d) ** sides for d, L in lcms.items()))
+    units = ring._units
     out: dict = {}
     for d in sorted(graded):
-        if d * sides > ring.cap:
-            continue
         parts, table = characters(d)
         row_of = {p: row for p, row in zip(parts, table)}
-        entries = graded[d]
-        L = lcm(*(c.denominator for _, c in entries))
+        entries, L = graded[d], lcms[d]
         scaled = [c.numerator * (L // c.denominator) for _, c in entries]
         rows = [row_of[lam] for lam, _ in entries]
-        columns = []  # (exponents of mu, prod_m e_m!, chi^lambda_mu over the entries)
+        fd = factorial(d)
+        base = den // (L * fd**sides)
+        columns = []  # (key of mu in the t and t* blocks, d! / prod_m e_m!, chi^lambda_mu over the entries)
         for j, mu in enumerate(parts):
             if mu.length and mu.parts[0] > K:
                 continue
             expo = [0] * K
             for p in mu.parts:
                 expo[p - 1] += 1
-            columns.append((tuple(expo), prod(map(factorial, expo)), [row[j] for row in rows]))
-        for et, ft, ct in columns:
+            kt, ku = sum(map(mul, expo, units)), sum(map(mul, expo, units[K:]))
+            columns.append((kt, ku, fd // prod(map(factorial, expo)), [row[j] for row in rows]))
+        for i, (kt, ku, ft, ct) in enumerate(columns):
             weighted = list(map(mul, scaled, ct))
             if sides == 1:
                 acc = sum(weighted)
                 if acc:
-                    out[et] = Fraction(acc, L * ft)
+                    out[kt] = acc * ft * base
                 continue
-            for eu, fu, cu in columns:
+            # X_d^T diag(c) X_d is symmetric: (mu, nu) and (nu, mu) share a value
+            ft *= base
+            for kt2, ku2, fu, cu in columns[i:]:
                 acc = sum(map(mul, weighted, cu))
                 if acc:
-                    out[et + eu] = Fraction(acc, L * ft * fu)
-    return PolySeries._trusted(ring, out)
+                    out[kt + ku2] = out[kt2 + ku] = acc * ft * fu
+    return PolySeries._reduced(ring, out, den)
 
 
 def cauchy_truncated(D: int, K: Optional[int] = None) -> tuple[PolySeries, PolySeries]:

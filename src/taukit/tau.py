@@ -533,7 +533,7 @@ def det_rep_derivatives(r: ContentFunction, n: int, D: int) -> DetRepResult:
             ent = base
             for _ in range(b):
                 ent = ent.diff(J)
-            row.append(PolySeries(check, ent.terms))
+            row.append(ent.truncate(check))
         rows.append(row)
     pref = deriv_det_prefactor(r, n)
     rhs = _det(rows) * pref
@@ -562,7 +562,7 @@ def hirota_residual(r: ContentFunction, n: int, D: int) -> PolySeries:
     tm = tau_series(TauSpec(r, n - 1, Formal(), Formal()), D).as_polyseries(check)
     tp = tau_series(TauSpec(r, n + 1, Formal(), Formal()), D).as_polyseries(check)
     d1 = tn.diff(0)
-    t, dt, du, dtu = (PolySeries(check, f.terms) for f in (tn, d1, tn.diff(D), d1.diff(D)))
+    t, dt, du, dtu = (f.truncate(check) for f in (tn, d1, tn.diff(D), d1.diff(D)))
     return t * dtu - dt * du - tm * tp * r(n)
 
 
