@@ -214,14 +214,6 @@ def pair(bra: FockVector, ket: FockVector):
 # -- one-particle operators ---------------------------------------------------
 
 
-def _range_product(r: ContentFunction, lo: int, hi: int):
-    """prod of r(k) for k in (lo, hi] (lo < hi)."""
-    out = Fraction(1)
-    for k in range(lo + 1, hi + 1):
-        out *= r(k)
-    return out
-
-
 class FockOperator:
     """A charge-preserving one-particle-move operator (or a diagonal one).
 
@@ -232,8 +224,7 @@ class FockOperator:
       At(m, rt): lowering family with rt over (src-m, src]
       diag(f):   multiplies |lambda, n> by f(lambda, n)
 
-    The r-window products are kept per operator, keyed by the window's
-    lower end.
+    The r-window products are memoised on r (``ContentFunction.window``).
     """
 
     def __init__(self, kind: str, m: int = 0, r: Optional[ContentFunction] = None,
@@ -242,7 +233,6 @@ class FockOperator:
         self.m = m
         self.r = r
         self.diag_fn = diag_fn
-        self._windows: dict[int, Fraction] = {}
 
     @classmethod
     def H(cls, m: int) -> "FockOperator":
@@ -277,7 +267,7 @@ class FockOperator:
                 if not _is_zero(val):
                     _accum(out, st, c * val)
             return FockVector(out, cutoff, truncated)
-        m, r, windows = self.m, self.r, self._windows
+        m, r = self.m, self.r
         # a move src -> src - shift lowers |lambda| by shift; an r-window
         # (lo, lo + m] starts at the target when lowering, at the source when raising
         shift = -m if self.kind == "mA" else m
@@ -292,9 +282,7 @@ class FockOperator:
             for src, sign, mask in _moves(st.mask, shift):
                 if r is not None:
                     lo = src + base - below
-                    w = windows.get(lo)
-                    if w is None:
-                        w = windows[lo] = _range_product(r, lo, lo + m)
+                    w = r.window(lo, lo + m)
                     if not w:
                         continue
                 if over:
@@ -457,13 +445,9 @@ def h0_eigenvalue(r: ContentFunction, lam: Partition, n: int) -> Fraction:
     alphas, betas = lam.frobenius()
     out = Fraction(1)
     for a in alphas:
-        p = n + a
-        for k in range(n, p + 1):
-            out *= r(k)
+        out *= r.window(n - 1, n + a)
     for b in betas:
-        q = n - 1 - b
-        for k in range(q + 1, n):
-            out *= r(k)
+        out *= r.window(n - 1 - b, n - 1)
     return out
 
 

@@ -498,12 +498,13 @@ class Times:
     the border-strip engine computes on it is memoised on the object.
     """
 
-    __slots__ = ("entries", "K", "_scale", "_steps", "_memo")
+    __slots__ = ("entries", "K", "_scale", "_steps", "_memo", "_levels")
 
     def __init__(self, entries: Sequence):
         self.entries = tuple(entries)
         self.K = len(self.entries)
         self._memo: dict[int, dict] = {}  # bead mask of the inner shape -> {bead mask: S}
+        self._levels: list[tuple] = []  # by degree d: (d! c^d, steps of a shape of size d)
         # the engine weights m t_m c^m: integers when every time is rational
         # and c is the lcm of their denominators, else c = 1
         rational = all(isinstance(x, (int, Fraction)) for x in self.entries)
@@ -617,61 +618,92 @@ def _key(parts: Sequence[int]) -> int:
     return sum(1 << (p + n - i) for i, p in enumerate(parts, start=1))
 
 
-def _strips(key: int, m: int) -> list[tuple[int, int]]:
-    """(sign, bead mask) of every partition left by removing a border strip
-    of size m from the partition with bead mask key: a bead moved from b down
-    to a free b - m, with sign (-1)^height for the beads it passes."""
-    out = []
+# The strips of a shape depend on neither the times nor r, so one table
+# serves every Times and ``characters``: m -> {bead mask: _strips(mask, m)},
+# filled only for the m asked for.  It stops growing at _STRIP_TABLE_MAX
+# entries (about 1.2 MB); strips it cannot keep are computed on each request.
+_STRIP_TABLE_MAX = 1 << 13
+_STRIP_TABLE: dict[int, dict[int, tuple[tuple, tuple]]] = {}
+_strip_table_size = 0
+_NO_STRIPS = ((), ())
+
+
+def _strips(key: int, m: int) -> tuple[tuple, tuple]:
+    """The partitions left by removing a border strip of size m from the
+    partition with bead mask key, as (bead masks with sign +1, bead masks
+    with sign -1): a bead moved from b down to a free b - m, with sign
+    (-1)^height for the beads it passes."""
+    plus, minus = [], []
     movable = key & ~(key << m) & ~((1 << m) - 1)  # beads b >= m with b - m free
     between = (1 << (m - 1)) - 1
     while movable:
         low = movable & -movable
         movable ^= low
-        height = (key >> (low.bit_length() - m) & between).bit_count()
         nu = key ^ low ^ (low >> m)
         nu >>= (~nu & (nu + 1)).bit_length() - 1  # beads at 0, 1, ... are zero parts
-        out.append((-1 if height & 1 else 1, nu))
+        (minus if (key >> (low.bit_length() - m) & between).bit_count() & 1 else plus).append(nu)
+    return (tuple(plus), tuple(minus)) if plus or minus else _NO_STRIPS
+
+
+def _kept_strips(key: int, m: int) -> tuple[tuple, tuple]:
+    """``_strips(key, m)`` from the table, or computed and kept while it has room."""
+    global _strip_table_size
+    table = _STRIP_TABLE.setdefault(m, {})
+    out = table.get(key)
+    if out is None:
+        out = _strips(key, m)
+        if _strip_table_size < _STRIP_TABLE_MAX:
+            table[key] = out
+            _strip_table_size += 1
     return out
 
 
-def _schur_value(t: Times, key: int, e: int, inner: int = 0):
-    """s_{nu/mu}(t) for the bead masks key of nu and inner of mu, e = |nu| - |mu|:
+def _schur_numerator(t: Times, key: int, e: int, inner: int = 0) -> tuple[object, int]:
+    """(S, e! c^e) with s_{nu/mu}(t) = S / (e! c^e) for the bead masks key of
+    nu and inner of mu, e = |nu| - |mu|, and c the times' common denominator.
+
     e s_{nu/mu} = sum_m m t_m sum_{m-strips S of nu} (-1)^ht(S) s_{(nu-S)/mu},
     as d/dt_m removes m-strips and sum_m m t_m d/dt_m is the weighted degree
     (Macdonald, Symmetric Functions, I.5, I.7); s_{mu/mu} = 1 and every other
     shape of size |mu| gives 0.  The memo on t holds S = e! c^e s, so
     S_nu = sum_m m t_m c^m (e-1)!/(e-m)! sum_S (-1)^ht(S) S_(nu-S) needs no
-    division, and with rational times (c their common denominator) no Fraction.
+    division, and with rational times (c their lcm, else 1) S is an integer.
     """
+    levels = t._levels
+    while len(levels) <= e:  # a shape of size d takes m-strips with weight m t_m c^m (d-1)!/(d-m)!
+        d = len(levels)
+        steps = tuple((m, w * perm(d - 1, m - 1), _STRIP_TABLE.setdefault(m, {})) for m, w in t._steps if m <= d)
+        levels.append((levels[-1][0] * d * t._scale if d else 1, steps))
     memo = t._memo.setdefault(inner, {inner: 1})
-    todo = [(key, e, None)]
-    while todo:
-        nu, d, terms = todo.pop()
-        if nu in memo:
-            continue
-        if terms is None:  # d = 0 has no terms: S = 0 for any nu but the seeded inner
-            terms = [
-                (m, w * perm(d - 1, m - 1), strips)
-                for m, w in t._steps if m <= d
-                for strips in (_strips(nu, m),) if strips
-            ]
-            todo.append((nu, d, terms))
-            todo.extend(
-                (child, d - m, None)
-                for m, _, strips in terms for _, child in strips if child not in memo
-            )
-            continue
-        total = 0
-        for _, w, strips in terms:
-            part = 0
-            for sign, child in strips:
-                v = memo[child]
-                if v:
-                    part = part + v if sign > 0 else part - v
-            if part:
-                total = total + w * part
-        memo[nu] = total
-    return memo[key] * Fraction(1, factorial(e) * t._scale**e)
+    if key not in memo:
+        get = memo.__getitem__
+        todo = [(key, e)]
+        while todo:
+            nu, d = todo[-1]
+            if nu in memo:
+                todo.pop()
+                continue
+            steps = levels[d][1]  # none at d = 0: S = 0 for any nu but the seeded inner
+            total = 0
+            try:
+                for m, w, table in steps:
+                    plus, minus = table.get(nu) or _kept_strips(nu, m)
+                    if plus or minus:
+                        part = sum(map(get, plus)) - sum(map(get, minus)) if minus else sum(map(get, plus))
+                        if part:
+                            total = total + w * part
+            except KeyError:  # first visit: every missing shape goes on the stack
+                todo += [(c, d - m) for m, _, _ in steps for c in sum(_kept_strips(nu, m), ()) if c not in memo]
+                continue
+            memo[nu] = total
+            todo.pop()
+    return memo[key], levels[e][0]
+
+
+def _schur_value(t: Times, key: int, e: int, inner: int = 0):
+    """s_{nu/mu}(t) = S / (e! c^e) from ``_schur_numerator``."""
+    value, den = _schur_numerator(t, key, e, inner)
+    return value * Fraction(1, den)
 
 
 def schur(lam: Partition, t: Times) -> object:
@@ -748,7 +780,7 @@ def characters(d: int) -> tuple[tuple[Partition, ...], tuple[tuple[int, ...], ..
     and the cycle type mu = parts[j].  Built by the Murnaghan-Nakayama rule
     (Macdonald, Symmetric Functions, I.7): with k = mu_1, chi^lambda_mu =
     sum (-1)^ht chi^(lambda - strip)_(mu - k) over the border strips of
-    length k, as ``_strips`` removes them.  Memoised per d.
+    length k, read from the strip table.  Memoised per d.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
@@ -771,7 +803,8 @@ def characters(d: int) -> tuple[tuple[Partition, ...], tuple[tuple[int, ...], ..
         for k, j in columns:
             if k not in strips:
                 sub_table, sub_index = lower[k]
-                strips[k] = [(sign, sub_table[sub_index[nu]]) for sign, nu in _strips(key, k)]
+                strips[k] = [(sign, sub_table[sub_index[nu]])
+                             for sign, side in zip((1, -1), _kept_strips(key, k)) for nu in side]
             row.append(sum(sign * sub_row[j] for sign, sub_row in strips[k]))
         rows.append(tuple(row))
     return parts, tuple(rows)

@@ -24,7 +24,9 @@ from .symfun import (
     Times,
     _as_fraction,
     _det,
+    _key,
     _num_den,
+    _schur_numerator,
     h_list,
     miwa,
     schur,
@@ -196,14 +198,15 @@ class TauSeries:
 
 
 def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int, size: Optional[int] = None):
-    """(lambda, r_lambda(n)) for |lambda| <= size (default D) and
-    l(lambda) <= lmax, with zero weights skipped.
+    """(lambda, p, q) with r_lambda(n) = p / q for |lambda| <= size (default
+    D) and l(lambda) <= lmax, with zero weights skipped.
 
     Scanning away from the charge over the window of |lambda| <= D, a zero
     of r truncates the series (no partition can reach past it), while a
     pole before any zero is an error.  Partitions come graded by weight, so
-    r_lambda(n) is that of lambda without its last row, already weighed,
-    times the content product of that row.
+    the pair of lambda is that of lambda without its last row, already
+    weighed, times the r-window of that row (row l, of k cells, covers the
+    contents n - l + 1 .. n - l + k), and is never reduced.
     """
 
     def reach(step: int, limit: int) -> int:
@@ -221,14 +224,23 @@ def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int, size: Op
     row_cap = reach(-1, max(lmax, 1))
     col_cap = reach(1, max(D, 1))
     size = D if size is None else size
-    weights = {(): Fraction(1)}
+    weights = {(): (1, 1)}
     for lam in enumerate_partitions(size, length_max=min(lmax, row_cap), col_max=col_cap):
-        c = weights[lam.parts[:-1]]
-        if c:
-            c *= content_product(r, n + 1 - lam.length, Partition(lam.parts[-1:]))
-        weights[lam.parts] = c
-        if c:
-            yield lam, c
+        parts = lam.parts
+        p, q = weights[parts[:-1]]
+        if p and parts:
+            lo = n - len(parts)
+            try:
+                w = r.window(lo, lo + parts[-1])
+            except ContentPoleError:
+                # the scan leaves only r(n) unchecked; content_product raises
+                # the same pole, naming its cell
+                content_product(r, lo + 1, Partition(parts[-1:]))
+                raise
+            p, q = p * w.numerator, q * w.denominator
+        weights[parts] = p, q
+        if p:
+            yield lam, p, q
 
 
 def tau_series(spec: TauSpec, D: int, length_max: Optional[int] = None) -> TauSeries:
@@ -237,7 +249,8 @@ def tau_series(spec: TauSpec, D: int, length_max: Optional[int] = None) -> TauSe
     Honors the length restriction from eigenvalue sides, an explicit
     ``length_max`` (for integrals whose length cut is not induced by r),
     and the zero-of-r truncation; poles of r inside the reachable content
-    window are errors.
+    window are errors.  Each coefficient is one Fraction of the product of
+    the integer numerators of r_lambda(n) and of each specialized side.
     """
     if D < 0:
         raise ValueError("cutoff must be >= 0")
@@ -249,12 +262,16 @@ def tau_series(spec: TauSpec, D: int, length_max: Optional[int] = None) -> TauSe
             lmax = min(lmax, cap)
     specialized = [t for t in (spec.tside.times(D), spec.uside.times(D)) if t is not None]
     coeffs: dict[Partition, Fraction] = {}
-    for lam, c in _weighted_partitions(r, n, D, lmax):
+    for lam, p, q in _weighted_partitions(r, n, D, lmax):
+        key, e = _key(lam.parts), lam.weight
         for times in specialized:
-            if c:
-                c *= schur(lam, times)
-        if c:
-            coeffs[lam] = c
+            s, den = _schur_numerator(times, key, e)
+            p *= s
+            if not p:
+                break
+            q *= den
+        if p:
+            coeffs[lam] = Fraction(p, q)
     return TauSeries(spec, D, coeffs)
 
 
@@ -406,11 +423,11 @@ def det_rep_one_side(
         raise ValueError("the t* side must be specialized for this identity")
     # series side
     lhs = ring.zero()
-    for lam, c in _weighted_partitions(r, M, D, N):
+    for lam, p, q in _weighted_partitions(r, M, D, N):
         su = schur(lam, u_times)
         if su == 0:
             continue
-        lhs = lhs + _alternant(xs, lam) * (c * su)
+        lhs = lhs + _alternant(xs, lam) * (su * Fraction(p, q))
     # determinant side
     # one eigenvalue keeps only single rows: c_j = r(m) ... r(m+j-1) h_j(t*)
     col_coeffs = [
@@ -466,13 +483,11 @@ def det_rep_two_side(r: ContentFunction, M: int, N: int, D: int) -> DetRepResult
     lhs = ring.zero()
     # each alternant has degree |lambda| + N(N-1)/2, so only 2|lambda| <= D
     # survives the cap; the pole scan still covers |lambda| <= D
-    for lam, c in _weighted_partitions(r, M, D, N, D // 2):
-        lhs = lhs + _alternant(xs, lam) * _alternant(ys, lam) * c
+    for lam, p, q in _weighted_partitions(r, M, D, N, D // 2):
+        lhs = lhs + _alternant(xs, lam) * _alternant(ys, lam) * Fraction(p, q)
     # kernel entries
     m0 = M - N + 1
-    rhos = [Fraction(1)]
-    for j in range(1, cap // 2 + 1):
-        rhos.append(rhos[-1] * r(m0 + j - 1))
+    rhos = [r.window(m0 - 1, m0 + j - 1) for j in range(cap // 2 + 1)]
     rows = []
     for i in range(N):
         row = []
@@ -607,23 +622,13 @@ def baker_akhiezer(r: ContentFunction, n: int, u_times: Times, D: int) -> list:
     """Coefficients c_m of z^n (1 + sum_m c_m z^-m):
     c_m = r(n) r(n-1) ... r(n-m+1) h_m(-t*)."""
     hs = h_list(u_times.negate(), D)
-    out = [Fraction(1)]
-    rho = Fraction(1)
-    for m in range(1, D + 1):
-        rho *= r(n - m + 1)
-        out.append(rho * hs[m])
-    return out
+    return [r.window(n - m, n) * h for m, h in enumerate(hs)]
 
 
 def baker_akhiezer_dual(r: ContentFunction, n: int, u_times: Times, D: int) -> list:
     """Dual wave coefficients: c*_m = r(n) r(n+1) ... r(n+m-1) h_m(t*)."""
     hs = h_list(u_times, D)
-    out = [Fraction(1)]
-    rho = Fraction(1)
-    for m in range(1, D + 1):
-        rho *= r(n + m - 1)
-        out.append(rho * hs[m])
-    return out
+    return [r.window(n - 1, n + m - 1) * h for m, h in enumerate(hs)]
 
 
 def symmetry_checks(r: ContentFunction, n: int, D: int, scale=Fraction(2)) -> dict:

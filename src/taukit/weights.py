@@ -29,6 +29,7 @@ class ContentFunction:
 
     def __init__(self):
         self._cache: dict[int, Fraction] = {}
+        self._windows: dict[tuple[int, int], Fraction] = {}
 
     def _eval(self, k: int) -> Fraction:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -38,6 +39,16 @@ class ContentFunction:
         if k not in self._cache:
             self._cache[k] = self._eval(k)
         return self._cache[k]
+
+    def window(self, lo: int, hi: int) -> Fraction:
+        """prod_{lo < k <= hi} r(k); a pole anywhere in the window raises."""
+        w = self._windows.get((lo, hi))
+        if w is None:
+            w = Fraction(1)
+            for k in range(lo + 1, hi + 1):
+                w *= self(k)
+            self._windows[lo, hi] = w
+        return w
 
     def zeros_on(self, lo: int, hi: int) -> list[int]:
         out = []

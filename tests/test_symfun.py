@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import taukit.symfun as symfun_mod
 from taukit.partitions import Partition, SkewShape, enumerate_partitions, partitions_of
 from taukit.symfun import (
     PolyRing,
@@ -22,6 +23,8 @@ from taukit.symfun import (
     schur_from_eigenvalues,
     skew_schur,
     standard_product,
+    _key,
+    _strips,
 )
 from taukit.weights import hook_product
 
@@ -247,19 +250,25 @@ def test_character_expansion_equals_jacobi_trudi(lam, K, cap, c):
     assert schur_expansion(ring, {lam: c}, 1) == as_series(ring, jacobi_trudi(t, lam)) * c, lam
 
 
+def assert_column_orthogonality(d):
+    """sum_lambda chi^lambda_mu chi^lambda_nu = delta_{mu nu} z_mu."""
+    parts, table = characters(d)
+    assert parts == tuple(partitions_of(d))
+    for j, mu in enumerate(parts):
+        z = 1
+        for m, e in mu.multiplicities().items():
+            z *= m**e * factorial(e)
+        for k in range(len(parts)):
+            dot = sum(row[j] * row[k] for row in table)
+            assert dot == (z if j == k else 0), (d, mu, parts[k])
+
+
 def test_character_table_orthogonality_and_degrees():
-    # sum_lambda chi^lambda_mu chi^lambda_nu = delta_{mu nu} z_mu, and
-    # chi^lambda on the identity class is the hook-length count d!/H_lambda
+    # column orthogonality, and chi^lambda on the identity class is the
+    # hook-length count d!/H_lambda
     for d in range(11):
+        assert_column_orthogonality(d)
         parts, table = characters(d)
-        assert parts == tuple(partitions_of(d))
-        for j, mu in enumerate(parts):
-            z = 1
-            for m, e in mu.multiplicities().items():
-                z *= m**e * factorial(e)
-            for k in range(len(parts)):
-                dot = sum(row[j] * row[k] for row in table)
-                assert dot == (z if j == k else 0), (d, mu, parts[k])
         for lam, row in zip(parts, table):
             assert row[-1] == F(factorial(d), hook_product(lam))
     with pytest.raises(ValueError):
@@ -343,3 +352,90 @@ def test_polyseries_results_are_already_filtered(f, g, c, i):
         assert res == PolySeries(small_ring, res.terms), res.terms
     assert f * g == naive_product(f, g)
     assert (f + g) * (f - g) == naive_product(f + g, f - g)
+
+
+# -- the strip table that every Times and characters() share -------------------
+
+
+def fresh_strip_table(mp, bound=None):
+    """Give the engine an empty strip table (of the given bound) inside the
+    monkeypatch context mp."""
+    mp.setattr(symfun_mod, "_STRIP_TABLE", {})
+    mp.setattr(symfun_mod, "_strip_table_size", 0)
+    if bound is not None:
+        mp.setattr(symfun_mod, "_STRIP_TABLE_MAX", bound)
+
+
+def diagram_strips(lam, m):
+    """(plus, minus) bead masks, sorted, of lambda less each border strip of
+    size m, read off the diagram: mu inside lambda with |lambda/mu| = m and
+    lambda/mu edge-connected and free of 2x2 squares, of sign (-1)^(rows - 1)."""
+    plus, minus = [], []
+    for mu in partitions_of(lam.weight - m):
+        if not lam.contains(mu):
+            continue
+        cells = set(SkewShape(lam, mu).cells())
+        if any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells for i, j in cells):
+            continue
+        seen, todo = set(), [next(iter(cells))]
+        while todo:
+            i, j = todo.pop()
+            if (i, j) in cells and (i, j) not in seen:
+                seen.add((i, j))
+                todo += [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
+        if seen == cells:
+            rows = len({i for i, _ in cells})
+            (minus if rows % 2 == 0 else plus).append(_key(mu.parts))
+    return sorted(plus), sorted(minus)
+
+
+def test_strip_table_holds_the_strips_of_every_shape():
+    with pytest.MonkeyPatch.context() as mp:
+        fresh_strip_table(mp)
+        t = Times.of([F(1, m + 1) for m in range(12)])  # every m <= 12 is asked for
+        for lam in enumerate_partitions(12):
+            schur(lam, t)
+        table = symfun_mod._STRIP_TABLE
+        for lam in enumerate_partitions(12):
+            key = _key(lam.parts)
+            for m in range(1, lam.weight + 1):
+                plus, minus = table[m][key]
+                assert (plus, minus) == _strips(key, m), (lam, m)
+                assert (sorted(plus), sorted(minus)) == diagram_strips(lam, m), (lam, m)
+
+
+partitions_to_10_list = list(enumerate_partitions(10))
+
+
+@given(st.permutations(partitions_to_10_list), rationals.filter(bool),
+       st.lists(rationals_with_zero, max_size=9), st.sampled_from(["rational", "symbolic"]),
+       st.sampled_from([None, 64]))
+@settings(max_examples=12, deadline=None)
+def test_one_times_in_any_order_equals_fresh_times(order, t1, rest, kind, bound):
+    # the memo of one Times, filled in any order and by every entry point,
+    # gives what a fresh Times gives, also once the strip table is full (a
+    # nonzero t_1 asks for the 1-strips of all 137 nonempty shapes)
+    values = [t1, *rest]
+    with pytest.MonkeyPatch.context() as mp:
+        fresh_strip_table(mp, bound)
+        t, norm = times_of(kind, values, 10)
+
+        def same(f, shape):  # f(shape, times) on t and on a fresh Times
+            return norm(f(shape, t)) == norm(f(shape, times_of(kind, values, 10)[0]))
+
+        def same_list(f, d):
+            return list(map(norm, f(t, d))) == list(map(norm, f(times_of(kind, values, 10)[0], d)))
+
+        for i, lam in enumerate(order):
+            assert same(schur, lam), lam
+            if i % 5 == 0:
+                assert same(skew_schur, (lam, order[i - 1])), (lam, order[i - 1])
+            if i % 7 == 0:
+                assert same_list(h_list, lam.weight) and same_list(e_list, lam.weight), lam
+        if bound is not None:
+            assert symfun_mod._strip_table_size == bound
+            # characters() read the same table, here past its bound
+            characters.cache_clear()
+            for d in range(11):
+                assert_column_orthogonality(d)
+    characters.cache_clear()

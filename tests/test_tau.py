@@ -229,16 +229,17 @@ def test_det_rep_two_side():
 def test_det_rep_two_side_weighs_only_what_the_cap_keeps(monkeypatch):
     # each alternant has degree |lambda| + N(N-1)/2 against the cap
     # D + N(N-1), so only 2|lambda| <= D contributes and only those lambda
-    # get a content product
+    # are enumerated and weighed
     import taukit.tau as tau_mod
 
     seen = []
 
-    def counting(r, n, lam):
-        seen.append(lam)
-        return content_product(r, n, lam)
+    def counting(*args, **kwargs):
+        for lam in enumerate_partitions(*args, **kwargs):
+            seen.append(lam)
+            yield lam
 
-    monkeypatch.setattr(tau_mod, "content_product", counting)
+    monkeypatch.setattr(tau_mod, "enumerate_partitions", counting)
     for N, D in [(1, 7), (2, 6), (3, 6)]:
         seen.clear()
         assert det_rep_two_side(RationalContent([F(1, 2)], [F(7, 2)]), 1, N, D).matches()
@@ -554,3 +555,37 @@ def test_two_formal_side_series_are_balanced(a, b, vanish_at_zero, n, D):
     assert balanced(hirota_full_ring(r, n, D), D)
     if vanish_at_zero and n >= 1:
         assert balanced(derivative_determinant_2j(r, n, D), D + n - 1)
+
+
+# -- numeric series against cell-by-cell weights and Jacobi-Trudi --------------
+
+units = st.fractions(min_value=-1, max_value=1, max_denominator=6).filter(lambda x: 0 < abs(x) < 1)
+numeric_sides = st.one_of(
+    st.builds(WeightA, st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+    st.builds(QGeo, units),
+    st.just(TInf()),
+    st.builds(Eigs, st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=5), min_size=1, max_size=4)),
+)
+far_offsets = st.integers(11, 14).flatmap(lambda b: st.sampled_from([b, -b]))
+
+
+@given(st.data(), st.booleans(), st.integers(-2, 2), numeric_sides, numeric_sides, st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_numeric_tau_series_equals_cell_products_and_jacobi_trudi(data, q_kind, n, t, u, D):
+    # r_lambda(n) cell by cell and both Schur factors by Jacobi-Trudi at the
+    # same times; r vanishes at some content of the window, has no pole there,
+    # and an eigenvalue side may hold more values than D
+    zero = n + data.draw(st.integers(-max(D - 1, 0), max(D - 1, 0)))
+    if q_kind:
+        r = QRationalContent([-zero, *data.draw(st.lists(st.integers(-6, 6), max_size=1))],
+                             data.draw(st.lists(far_offsets, max_size=2)), data.draw(units))
+    else:
+        r = RationalContent([-zero, *data.draw(st.lists(non_integers, max_size=1))],
+                            data.draw(st.lists(non_integers, max_size=2)))
+    tt, ut = t.times(D), u.times(D)
+    want = {}
+    for lam in enumerate_partitions(D):
+        c = content_product(r, n, lam) * jacobi_trudi(tt, lam) * jacobi_trudi(ut, lam)
+        if c:
+            want[lam] = c
+    assert tau_series(TauSpec(r, n, t, u), D).coeffs == want

@@ -154,6 +154,14 @@ def test_zeros_and_windows():
     assert tab(-1) == F(1, 2)
     with pytest.raises(ContentPoleError):
         tab(5)
+    # r.window(lo, hi) is the product over (lo, hi]: a one-row content product
+    q = RationalContent(a=[-1, F(1, 3)], b=[F(5, 2)])
+    for lo in range(-4, 3):
+        for hi in range(lo, lo + 5):
+            assert q.window(lo, hi) == content_product(q, lo + 1, Partition([hi - lo])), (lo, hi)
+    # every r(k) of a window is evaluated, so a zero does not hide a pole after it
+    with pytest.raises(ContentPoleError):
+        tab.window(-1, 5)
 
 
 def test_wrappers_and_product():
