@@ -8,6 +8,8 @@ and quadrature reports and always carry their error estimate.  Exit codes:
 Every option value is converted while the command line is parsed, so a value
 that does not parse exits 2 with a message naming its option, e.g.
 "taukit tau: error: argument --t: invalid value 'ta:1/0' (zero denominator)".
+The checks of verify are one table, CHECKS; every failing check names its
+witness, and --poison takes the name of a check the command runs.
 """
 
 from __future__ import annotations
@@ -52,25 +54,23 @@ from . import oracle as oracle_mod
 from . import fock as fock_mod
 
 
-def _frac_list(text: str) -> list[Fraction]:
-    text = text.strip()
-    if not text:
-        return []
-    return [Fraction(tok) for tok in text.split(",")]
+def _list_of(parse):
+    """Parser of a comma-separated list of ``parse`` values; blank is empty."""
+    return lambda text: [parse(tok) for tok in text.strip().split(",")] if text.strip() else []
 
 
-def _int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(tok) for tok in text.split(",")]
-
-
-def _nonneg_int(text: str) -> int:
+def _at_least(low: int, text: str) -> int:
     k = int(text)
-    if k < 0:
-        raise ValueError("must be >= 0")
+    if k < low:
+        raise ValueError(f"must be >= {low}")
     return k
+
+
+def _positive(text: str) -> float:
+    x = float(text)
+    if not 0 < x < math.inf:
+        raise ValueError("must be positive and finite")
+    return x
 
 
 def _arg(parse):
@@ -96,7 +96,7 @@ def parse_side(spec: str):
     if spec.startswith("t:"):
         return Formal()
     if spec.startswith("eigs:"):
-        return Eigs(_frac_list(spec[len("eigs:"):]))
+        return Eigs(_list_of(Fraction)(spec[len("eigs:"):]))
     if spec.startswith("ta:"):
         return WeightA(Fraction(spec[len("ta:"):]))
     if spec == "inf":
@@ -329,16 +329,12 @@ def cmd_oracle(args) -> int:
         if args.contour == "imag":
             val = oracle_mod.moment_real_imaginary_limit(n, m)
             target = -2j * math.pi * math.factorial(n) if n == m else 0j
-            err = abs(val - target) / max(abs(target), 1.0)
-            _emit(args, {"contour": "imag", "n": n, "m": m, "value": str(val), "target": str(target), "rel_error": err})
-            return 0 if err < args.tol else 1
-        if args.contour == "circle":
+            report = {"n": n, "m": m, "value": str(val), "target": str(target)}
+        elif args.contour == "circle":
             val = oracle_mod.moment_circle(n, m)
             target = -4 * math.pi**2 / math.factorial(n) if n == m else 0.0
-            err = abs(val - target) / max(abs(target), 1.0)
-            _emit(args, {"contour": "circle", "n": n, "m": m, "value": str(val), "rel_error": err})
-            return 0 if err < args.tol else 1
-        if args.contour == "unit":
+            report = {"n": n, "m": m, "value": str(val)}
+        elif args.contour == "unit":
             a = args.a_param
             try:
                 val = oracle_mod.moment_unit_interval(n, a)
@@ -347,33 +343,41 @@ def cmd_oracle(args) -> int:
             target = float(
                 Fraction(1) / (1 - a) * math.factorial(n) / pochhammer(2 - a, n)
             )
-            err = abs(val - target) / max(abs(target), 1.0)
-            _emit(args, {"contour": "unit", "n": n, "a": str(a), "value": val,
-                         "target": target, "rel_error": err})
-            return 0 if err < args.tol else 1
-        if args.contour == "halfline":
+            report = {"n": n, "a": str(a), "value": val, "target": target}
+        else:
             val = oracle_mod.moment_halfline_pfs(n, args.A, args.B)
             target = float(oracle_mod.halfline_exact(n, args.A, args.B))
-            err = abs(val - target) / max(abs(target), 1.0)
-            _emit(args, {"contour": "halfline", "n": n, "value": val,
-                         "target": target, "rel_error": err})
-            return 0 if err < args.tol else 1
-        raise ValueError(args.contour)
+            report = {"n": n, "value": val, "target": target}
+        err = abs(val - target) / max(abs(target), 1.0)
+        _emit(args, {"contour": args.contour, **report, "rel_error": err})
+        return 0 if err < args.tol else 1
     raise ValueError(which)
 
 
-def _first_difference(lhs, rhs, left: str, right: str) -> str:
-    """The first monomial, in sorted order, where two series differ, with
-    the coefficient each side gives it."""
-    e = min((lhs - rhs).terms)
-    return (f"first differing monomial {e}: {left} {_num_den(lhs.coefficient(e))}"
-            f" != {right} {_num_den(rhs.coefficient(e))}")
+def _witness(got, want, left: str, right: str) -> str:
+    """The first monomial, degree or flag where a check's two sides differ,
+    with the value each side gives it; a residual also counts its nonzero
+    entries."""
+    if isinstance(got, PolySeries):
+        what, keys = "monomial", sorted((got - want).terms)
+        value = lambda side, e: _num_den(side.coefficient(e))  # noqa: E731
+    elif isinstance(got, dict):
+        what, keys, value = "flag", [k for k in got if got[k] != want[k]], dict.get
+    else:
+        what, keys = "degree", [i for i, v in enumerate(got) if v != want[i]]
+        value = lambda side, i: _num_den(side[i])  # noqa: E731
+    e = keys[0]
+    text = f"first differing {what} {e}: {left} {value(got, e)} != {right} {value(want, e)}"
+    return f"nonzero residual {what}s: {len(keys)}; {text}" if left == "residual" else text
 
 
 def _poisoned(name: str, value, deg: int):
     """The fault --poison injects: x_1 added to a series whose ring holds it,
-    else the constant 1, and 1 added to the first coefficient of a residual
-    list; a check that compares nothing at this degree has no room for it."""
+    else the constant 1, 1 added to the first coefficient of a residual list
+    and the first flag of a flag dict cleared; a check that compares nothing
+    at this degree has no room for it."""
+    if isinstance(value, dict):
+        return {**value, next(iter(value)): False}
     if isinstance(value, list) and value:
         return [value[0] + 1] + value[1:]
     if isinstance(value, PolySeries) and value.ring.cap >= 0:
@@ -383,101 +387,72 @@ def _poisoned(name: str, value, deg: int):
                      "so --poison has nothing to change")
 
 
-def _verify_one(name: str, args) -> dict:
+def _residual(res) -> tuple:
+    """A residual series or coefficient list against its zero."""
+    zero = res.ring.zero() if isinstance(res, PolySeries) else [0] * len(res)
+    return res, zero, "residual", "expected"
+
+
+# The checks of `verify`, in the order `verify all` runs them:
+# name -> run(args) -> (got, want, left label, right label).
+CHECKS = {
+    "cauchy": lambda a: (*cauchy_truncated(a.deg), "exponential", "Schur sum"),
+    "hirota": lambda a: _residual(hirota_residual(a.r, a.n, a.deg)),
+    "ode": lambda a: _residual(ode_residual(a.a, a.b, a.deg)),
+    "qdiff": lambda a: _residual(q_difference_residual(a.qa, a.qb, a.q, a.deg)),
+    "det": lambda a: ((res := det_rep_two_side(a.r, a.n, a.n, a.deg)).lhs, res.rhs, "series", "determinant"),
+    "symmetry": lambda a: ((rep := symmetry_checks(a.r, a.n, a.deg)), dict.fromkeys(rep, True), "holds", "expected"),
+}
+
+
+def _judge(name: str, args) -> dict:
+    """Run one check, poison it if asked, compare its sides and name the
+    witness of a failure; a flag dict that passes reports its flags."""
     t0 = time.time()
-    ok = True
-    detail = ""
-    if name == "cauchy":
-        lhs, rhs = cauchy_truncated(args.deg)
-        if args.poison == "cauchy":
-            lhs = _poisoned(name, lhs, args.deg)
-        ok = lhs == rhs
-        if not ok:
-            detail = _first_difference(lhs, rhs, "exponential", "Schur sum")
-    elif name == "hirota":
-        res = hirota_residual(args.r, args.n, args.deg)
-        if args.poison == "hirota":
-            res = _poisoned(name, res, args.deg)
-        ok = res.is_zero()
-        if not ok:
-            detail = (f"nonzero residual monomials: {len(res.terms)}; "
-                      + _first_difference(res, res.ring.zero(), "residual", "expected"))
-    elif name == "ode":
-        res = ode_residual(args.a, args.b, args.deg)
-        if args.poison == "ode":
-            res = _poisoned(name, res, args.deg)
-        ok = all(v == 0 for v in res)
-        if not ok:
-            detail = f"residual degrees: {[i for i, v in enumerate(res) if v != 0][:5]}"
-    elif name == "qdiff":
-        res = q_difference_residual(args.qa, args.qb, args.q, args.deg)
-        if args.poison == "qdiff":
-            res = _poisoned(name, res, args.deg)
-        ok = all(v == 0 for v in res)
-        if not ok:
-            detail = f"residual degrees: {[i for i, v in enumerate(res) if v != 0][:5]}"
-    elif name == "det":
-        res = det_rep_two_side(args.r, args.n, args.n, args.deg)
-        if args.poison == "det":
-            res.lhs = _poisoned(name, res.lhs, args.deg)
-        ok = res.matches()
-        if not ok:
-            detail = _first_difference(res.lhs, res.rhs, "series", "determinant")
-    elif name == "symmetry":
-        rep = symmetry_checks(args.r, args.n, args.deg)
-        if args.poison == "symmetry":
-            rep["swap"] = False
-        ok = all(rep.values())
-        detail = str(rep)
+    got, want, left, right = CHECKS[name](args)
+    if args.poison == name:
+        got = _poisoned(name, got, args.deg)
+    ok = got == want
+    if not ok:
+        detail = _witness(got, want, left, right)
     else:
-        raise ValueError(name)
+        detail = str(got) if isinstance(got, dict) else ""
     return {"check": name, "pass": ok, "detail": detail, "seconds": round(time.time() - t0, 3)}
 
 
+def _mc_identities(args) -> dict:
+    """The Monte Carlo block of `verify all --profile full`: both ensembles'
+    Schur identities for |lambda| <= 2, one 3-sigma outlier tolerated."""
+    t0 = time.time()
+    fails = 0
+    for lam in enumerate_partitions(2):
+        if lam.weight == 0:
+            continue
+        for fn in (oracle_mod.mc_schur_unitary_identity, oracle_mod.mc_schur_ginibre_identity):
+            rep = fn(lam, [Fraction(1), Fraction(1, 2)], [Fraction(1), Fraction(1, 3)], 2,
+                     args.samples, seed=args.seed)
+            fails += not rep["pass"]
+    return {"check": "mc-identities", "pass": fails <= 1, "detail": f"{fails} failures",
+            "seconds": round(time.time() - t0, 3)}
+
+
 def cmd_verify(args) -> int:
-    names = (
-        ["cauchy", "hirota", "ode", "qdiff", "det", "symmetry"]
-        if args.what == "all"
-        else [args.what]
-    )
-    reports = [_verify_one(n, args) for n in names]
+    names = list(CHECKS) if args.what == "all" else [args.what]
+    if args.poison not in (None, *names):
+        raise ValueError(f"--poison {args.poison}: verify {args.what} does not run that check")
+    reports = [_judge(n, args) for n in names]
     if args.what == "all" and args.profile == "full":
-        t0 = time.time()
-        fails = 0
-        for lam in enumerate_partitions(2):
-            if lam.weight == 0:
-                continue
-            for fn in (
-                oracle_mod.mc_schur_unitary_identity,
-                oracle_mod.mc_schur_ginibre_identity,
-            ):
-                rep = fn(
-                    lam,
-                    [Fraction(1), Fraction(1, 2)],
-                    [Fraction(1), Fraction(1, 3)],
-                    2,
-                    args.samples,
-                    seed=args.seed,
-                )
-                if not rep["pass"]:
-                    fails += 1
-        reports.append(
-            {
-                "check": "mc-identities",
-                "pass": fails <= 1,  # one 3-sigma outlier tolerated
-                "detail": f"{fails} failures",
-                "seconds": round(time.time() - t0, 3),
-            }
-        )
+        reports.append(_mc_identities(args))
     payload = {"reports": reports, "pass": all(r["pass"] for r in reports)}
     _emit(args, payload)
     return 0 if payload["pass"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    fracs, ints, frac = _arg(_frac_list), _arg(_int_list), _arg(Fraction)
+    fracs, ints, frac = _arg(_list_of(Fraction)), _arg(_list_of(int)), _arg(Fraction)
     content, side, partition = _arg(parse_content), _arg(parse_side), _arg(Partition.parse)
-    nonneg = _arg(_nonneg_int)
+    nonneg, samples = _arg(functools.partial(_at_least, 0)), _arg(functools.partial(_at_least, 2))
+    positive = _arg(_positive)
     p = argparse.ArgumentParser(prog="taukit", description=__doc__)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--manifest", help="write a run manifest (config + digest) to this file")
@@ -550,9 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--mu", type=partition, default=None)
     op.add_argument("--A", type=fracs, default="1,1/2")
     op.add_argument("--B", type=fracs, default="1,1/3")
-    op.add_argument("--samples", type=int, default=100000)
-    op.add_argument("--seed", type=int, default=0)
-    op.add_argument("--sigma", type=float, default=3.0)
+    op.add_argument("--samples", type=samples, default=100000)
+    op.add_argument("--seed", type=nonneg, default=0)
+    op.add_argument("--sigma", type=positive, default=3.0)
     op.add_argument("--powers", type=ints, default="4")
     op.add_argument("--contour", default="imag",
                     choices=["imag", "circle", "unit", "halfline"])
@@ -560,11 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--moment2", type=nonneg, default=None)
     op.add_argument("--a-param", type=frac, default="-1",
                     help="exponent parameter for the unit-interval measure")
-    op.add_argument("--tol", type=float, default=1e-6)
+    op.add_argument("--tol", type=positive, default=1e-6)
     op.set_defaults(func=cmd_oracle)
 
     vp = sub.add_parser("verify", help="identity verification suites")
-    vp.add_argument("what", choices=["cauchy", "hirota", "ode", "qdiff", "det", "symmetry", "all"])
+    vp.add_argument("what", choices=[*CHECKS, "all"])
     vp.add_argument("--deg", type=nonneg, default=6)
     vp.add_argument("--n", type=int, default=1)
     vp.add_argument("--r", type=content, default="rational:a=2")
@@ -575,9 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--q", type=frac, default="1/3")
     vp.add_argument("--profile", choices=["fast", "full"], default="fast",
                     help="full adds the Monte Carlo identity block to 'all'")
-    vp.add_argument("--samples", type=int, default=20000)
-    vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--poison", default=None,
+    vp.add_argument("--samples", type=samples, default=20000)
+    vp.add_argument("--seed", type=nonneg, default=0)
+    vp.add_argument("--poison", choices=list(CHECKS), default=None,
                     help="inject a fault into the named check (negative-path testing)")
     vp.set_defaults(func=cmd_verify)
 

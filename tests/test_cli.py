@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import taukit
+from taukit import cli
 from taukit.cli import main, parse_side
 from taukit.tau import Eigs, Formal, QGeo, TInf, WeightA
 
@@ -64,9 +65,13 @@ def test_verify_cauchy_exit_zero(capsys):
 
 
 POISON_WITNESS = {
+    "cauchy": "first differing monomial (1, 0, 0, 0, 0, 0, 0, 0): exponential 1/1 != Schur sum 0/1",
     "hirota": "nonzero residual monomials: 1; first differing monomial (1, 0, 0, 0, 0, 0, 0, 0): "
               "residual 1/1 != expected 0/1",
+    "ode": "nonzero residual degrees: 1; first differing degree 0: residual 1/1 != expected 0/1",
+    "qdiff": "nonzero residual degrees: 1; first differing degree 0: residual 1/1 != expected 0/1",
     "det": "first differing monomial (1, 0): series 1/1 != determinant 0/1",
+    "symmetry": "first differing flag swap: holds False != expected True",
 }
 
 
@@ -80,12 +85,14 @@ def test_verify_poison_exits_one(capsys):
         assert data["reports"][0]["detail"] == witness
 
 
-@pytest.mark.parametrize("check", ["cauchy", "hirota", "ode", "qdiff", "det", "symmetry"])
+@pytest.mark.parametrize("check", list(cli.CHECKS))
 def test_verify_poison_fails_at_every_degree(capsys, check):
-    # the injected fault shows at every degree; where the check compares no
-    # coefficient at all (the Hirota residual and the residual lists at
-    # degree 0) there is nothing to poison, which exits 2 naming --deg
-    empty_at_zero = check in ("hirota", "ode", "qdiff")
+    # the injected fault shows at every degree and names its witness; where
+    # the check compares no coefficient at all (both sides empty, as the
+    # Hirota residual and the residual lists are at degree 0) there is
+    # nothing to poison, which exits 2 naming --deg
+    got, want, *_ = cli.CHECKS[check](cli.build_parser().parse_args(["verify", check, "--deg", "0"]))
+    empty_at_zero = not (got or want)
     for what in (check, "all"):
         for deg in ("0", "1", "2"):
             code = main(["verify", what, "--deg", deg, "--poison", check])
@@ -95,8 +102,20 @@ def test_verify_poison_fails_at_every_degree(capsys, check):
                 assert err.startswith("error: --deg 0:") and "Traceback" not in err, err
             else:
                 assert code == 1 and err == "", (what, deg, err)
-                reports = json.loads(out)["reports"]
-                assert [r["pass"] for r in reports if r["check"] == check] == [False], (what, deg)
+                reports = [r for r in json.loads(out)["reports"] if r["check"] == check]
+                assert [r["pass"] for r in reports] == [False], (what, deg)
+                assert "first differing" in reports[0]["detail"], (what, deg)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cauchy", "--deg", "3", "--poison", "nosuch"],
+    ["verify", "cauchy", "--deg", "3", "--poison", "hirota"],
+])
+def test_verify_poison_of_a_check_not_run_exits_two(capsys, argv):
+    # a poison that would change nothing is a usage error, not a pass
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--poison" in err, err
 
 
 def test_verify_all_fast(capsys):
@@ -270,6 +289,13 @@ BAD_INPUTS = [
     ("--qb", ["verify", "qdiff", "--qb", "x"]),
     ("--a", ["verify", "ode", "--a", "1/2,/"]),
     ("--r", ["verify", "det", "--r", "rational:a=2|scale:1/0"]),
+    ("--samples", ["verify", "all", "--profile", "full", "--samples", "1"]),
+    ("--samples", ["oracle", "ginibre", "--samples", "1"]),
+    ("--seed", ["verify", "all", "--profile", "full", "--seed", "-1"]),
+    ("--seed", ["oracle", "unitary-mc", "--seed", "-1"]),
+    ("--tol", ["oracle", "mu", "--tol", "-1"]),
+    ("--sigma", ["oracle", "ginibre", "--sigma", "0"]),
+    ("--sigma", ["oracle", "ginibre", "--sigma", "nan"]),
 ]
 
 
