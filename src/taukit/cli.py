@@ -48,7 +48,7 @@ from .tau import (
     symmetry_checks,
     tau_series,
 )
-from .weights import content_product, parse_content, pochhammer
+from .weights import ContentPoleError, content_product, parse_content, pochhammer
 from . import models as models_mod
 from . import oracle as oracle_mod
 from . import fock as fock_mod
@@ -71,6 +71,27 @@ def _positive(text: str) -> float:
     if not 0 < x < math.inf:
         raise ValueError("must be positive and finite")
     return x
+
+
+def _unit_q(text: str) -> Fraction:
+    q = Fraction(text)
+    if not 0 < abs(q) < 1:
+        raise ValueError("must satisfy 0 < |q| < 1")
+    return q
+
+
+def _bad_value(option: str, values, why) -> ValueError:
+    """A value that parsed but fails once the command runs, reported as
+    argparse reports a value that does not parse."""
+    return ValueError(f"argument {option}: invalid value {_joined(values)!r} ({why})")
+
+
+def _poles_name(option: str, values, fn, *args):
+    """fn(*args), with a parameter pole reported as a bad value of ``option``."""
+    try:
+        return fn(*args)
+    except ContentPoleError as exc:
+        raise _bad_value(option, values, exc) from None
 
 
 def _arg(parse):
@@ -345,7 +366,10 @@ def cmd_oracle(args) -> int:
             )
             report = {"n": n, "a": str(a), "value": val, "target": target}
         else:
-            val = oracle_mod.moment_halfline_pfs(n, args.A, args.B)
+            try:
+                val = oracle_mod.moment_halfline_pfs(n, args.A, args.B)
+            except ValueError as exc:
+                raise _bad_value("--A", args.A, exc) from None
             target = float(oracle_mod.halfline_exact(n, args.A, args.B))
             report = {"n": n, "value": val, "target": target}
         err = abs(val - target) / max(abs(target), 1.0)
@@ -398,8 +422,8 @@ def _residual(res) -> tuple:
 CHECKS = {
     "cauchy": lambda a: (*cauchy_truncated(a.deg), "exponential", "Schur sum"),
     "hirota": lambda a: _residual(hirota_residual(a.r, a.n, a.deg)),
-    "ode": lambda a: _residual(ode_residual(a.a, a.b, a.deg)),
-    "qdiff": lambda a: _residual(q_difference_residual(a.qa, a.qb, a.q, a.deg)),
+    "ode": lambda a: _residual(_poles_name("--b", a.b, ode_residual, a.a, a.b, a.deg)),
+    "qdiff": lambda a: _residual(_poles_name("--qb", a.qb, q_difference_residual, a.qa, a.qb, a.q, a.deg)),
     "det": lambda a: ((res := det_rep_two_side(a.r, a.n, a.n, a.deg)).lhs, res.rhs, "series", "determinant"),
     "symmetry": lambda a: ((rep := symmetry_checks(a.r, a.n, a.deg)), dict.fromkeys(rep, True), "holds", "expected"),
 }
@@ -449,7 +473,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    fracs, ints, frac = _arg(_list_of(Fraction)), _arg(_list_of(int)), _arg(Fraction)
+    fracs, ints, frac, unit_q = _arg(_list_of(Fraction)), _arg(_list_of(int)), _arg(Fraction), _arg(_unit_q)
     content, side, partition = _arg(parse_content), _arg(parse_side), _arg(Partition.parse)
     nonneg, samples = _arg(functools.partial(_at_least, 0)), _arg(functools.partial(_at_least, 2))
     positive = _arg(_positive)
@@ -487,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     hq = hyper.add_parser("qphi")
     hq.add_argument("--a", type=ints, default="")
     hq.add_argument("--b", type=ints, default="")
-    hq.add_argument("--q", type=frac, required=True)
+    hq.add_argument("--q", type=unit_q, required=True)
     hq.add_argument("--m", type=int, default=0)
     hq.add_argument("--x", type=fracs, required=True)
     hq.add_argument("--y", type=fracs, default=None)
@@ -547,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--b", type=fracs, default="5/4")
     vp.add_argument("--qa", type=ints, default="1,2")
     vp.add_argument("--qb", type=ints, default="3")
-    vp.add_argument("--q", type=frac, default="1/3")
+    vp.add_argument("--q", type=unit_q, default="1/3")
     vp.add_argument("--profile", choices=["fast", "full"], default="fast",
                     help="full adds the Monte Carlo identity block to 'all'")
     vp.add_argument("--samples", type=samples, default=20000)

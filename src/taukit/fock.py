@@ -18,11 +18,11 @@ for symbolic times.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _parts_of_weight, partitions_of
 from .symfun import PolySeries, _key
-from .weights import ContentFunction
+from .weights import ContentFunction, _pair_sum
 
 # z_mu^-1 coefficients for expressing h_k in power sums are rebuilt on the
 # fly; they are tiny for the weights used here.
@@ -215,24 +215,21 @@ def pair(bra: FockVector, ket: FockVector):
 
 
 class FockOperator:
-    """A charge-preserving one-particle-move operator (or a diagonal one).
+    """A charge-preserving one-particle-move operator.
 
     kinds:
       H(m):      sum_k psi_k psi*_{k+m}, moves src -> src - m, weight 1
       A(m, r):   raising part of the deformed family; -A(m) carries
                  + prod r over the traversed window (src, src+m]
       At(m, rt): lowering family with rt over (src-m, src]
-      diag(f):   multiplies |lambda, n> by f(lambda, n)
 
     The r-window products are memoised on r (``ContentFunction.window``).
     """
 
-    def __init__(self, kind: str, m: int = 0, r: Optional[ContentFunction] = None,
-                 diag_fn: Optional[Callable] = None):
+    def __init__(self, kind: str, m: int = 0, r: Optional[ContentFunction] = None):
         self.kind = kind
         self.m = m
         self.r = r
-        self.diag_fn = diag_fn
 
     @classmethod
     def H(cls, m: int) -> "FockOperator":
@@ -254,19 +251,9 @@ class FockOperator:
             raise ValueError("m must be >= 1")
         return cls("At", m=m, r=rt)
 
-    @classmethod
-    def diagonal(cls, fn: Callable) -> "FockOperator":
-        return cls("diag", diag_fn=fn)
-
     def apply(self, v: FockVector) -> FockVector:
         out: dict = {}
         cutoff, truncated = v.cutoff, v.truncated
-        if self.kind == "diag":
-            for st, c in v.amps.items():
-                val = self.diag_fn(st.lam, st.charge)
-                if not _is_zero(val):
-                    _accum(out, st, c * val)
-            return FockVector(out, cutoff, truncated)
         m, r = self.m, self.r
         # a move src -> src - shift lowers |lambda| by shift; an r-window
         # (lo, lo + m] starts at the target when lowering, at the source when raising
@@ -434,41 +421,45 @@ def psi_apply(v: FockVector, site: int, create: bool) -> FockVector:
 # -- diagonal charge operator and traces -------------------------------------
 
 
+def _h0_pair(r: ContentFunction, mask: int, n: int) -> tuple[int, int]:
+    """The eigenvalue of the diagonal charge operator on the state of charge
+    n and bead mask ``mask``, as an unreduced integer pair, read from the
+    Maya data: a particle at site s >= n contributes prod_{k=n..s} r(k), a
+    hole at site h < n contributes prod_{k=h+1..n-1} r(k).  Particles are
+    the beads at bits >= l(lambda), holes the empty bits below, and this
+    telescopes to the content product without forming it cell by cell."""
+    L = mask.bit_count()
+    p = q = 1
+    particles = mask >> L  # bit j: the site n + j
+    while particles:
+        j = particles.bit_length() - 1
+        particles ^= 1 << j
+        w = r.window(n - 1, n + j)
+        p, q = p * w.numerator, q * w.denominator
+    holes = ~mask & (1 << L) - 1  # bit b: the site n - L + b
+    while holes:
+        low = holes & -holes
+        holes ^= low
+        w = r.window(n - L + low.bit_length() - 1, n - 1)
+        p, q = p * w.numerator, q * w.denominator
+    return p, q
+
+
 def h0_eigenvalue(r: ContentFunction, lam: Partition, n: int) -> Fraction:
     """Eigenvalue of the diagonal charge operator on |lambda, n>, relative to
-    the charge-n vacuum (vacuum eigenvalue normalized to 1).
-
-    Computed from the Maya data: extra particles above the sea contribute
-    prod_{k=n..p} r(k), holes contribute prod_{k=q+1..n-1} r(k), which
-    telescopes to the content product without ever forming it cell by cell.
-    """
-    alphas, betas = lam.frobenius()
-    out = Fraction(1)
-    for a in alphas:
-        out *= r.window(n - 1, n + a)
-    for b in betas:
-        out *= r.window(n - 1 - b, n - 1)
-    return out
-
-
-def diag_charge_operator(r: ContentFunction) -> FockOperator:
-    """The diagonal operator with eigenvalue r_lambda(n) on |lambda, n>,
-    normalized so every charge-sector vacuum has eigenvalue 1."""
-    return FockOperator.diagonal(lambda lam, n: h0_eigenvalue(r, lam, n))
+    the charge-n vacuum (vacuum eigenvalue normalized to 1): r_lambda(n),
+    from the particles and holes of lambda's bead mask."""
+    return Fraction(*_h0_pair(r, _key(lam.parts), n))
 
 
 def trace_h0(r: ContentFunction, n: int, D: int) -> list[Fraction]:
     """Graded trace over the charge-n sector: [sum_{|lambda|=d} r_lambda(n)]
-    for d = 0..D, via the diagonal operator on the Maya basis."""
-    op = diag_charge_operator(r)
-    out = []
-    for d in range(D + 1):
-        tot = Fraction(0)
-        for lam in partitions_of(d):
-            st = FockState(lam, n)
-            tot += op.apply(FockVector({st: Fraction(1)}, D)).amps.get(st, 0)
-        out.append(tot)
-    return out
+    for d = 0..D, summing the diagonal charge operator's eigenvalues over
+    the bead masks of weight d."""
+    return [
+        _pair_sum(_h0_pair(r, _key(parts), n) for parts in _parts_of_weight(d, d, d))
+        for d in range(D + 1)
+    ]
 
 
 # -- Lemma-style constructions ----------------------------------------------

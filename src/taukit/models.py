@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _parts_of_weight, partitions_of
 from .symfun import (
     PolyRing,
     PolySeries,
@@ -40,8 +40,10 @@ from .tau import (
 from .weights import (
     ConstantOneContent,
     ContentFunction,
+    ContentPoleError,
     LinearContent,
     RationalContent,
+    _pair_sum,
     content_product,
 )
 
@@ -348,17 +350,32 @@ def loop_scalar_product(gs: Sequence[ContentFunction], n: int, D: int) -> list[F
     """Graded trace sum_{|lambda|=d} prod_i r^{(i)}_lambda(n) for d = 0..D.
 
     The g's are the diagonal weight operators; composition in the diagonal
-    case is the plain product of weights.
+    case is the plain product of weights.  Partitions come graded by weight,
+    so the weight of lambda is that of lambda without its last row, an
+    unreduced integer pair, times the r-window of that row for each g (row
+    l, of k cells, covers the contents n - l + 1 .. n - l + k); each degree
+    sums its pairs into one Fraction.  A pole inside a row window falls
+    back to the cell-by-cell ``content_product`` for that lambda: a zero
+    cell before the pole still gives weight 0, else the pole is named by
+    its cell.
     """
-    out = []
-    for d in range(D + 1):
-        tot = Fraction(0)
-        for lam in partitions_of(d):
-            w = Fraction(1)
-            for g in gs:
-                w *= content_product(g, n, lam)
-                if w == 0:
-                    break
-            tot += w
-        out.append(tot)
+    walked = {(): (1, 1)}
+    out = [Fraction(1)] if D >= 0 else []
+    for d in range(1, D + 1):
+        pairs = []
+        for parts in _parts_of_weight(d, d, d):
+            p, q = walked[parts[:-1]]
+            lo = n - len(parts)
+            try:
+                for g in gs:
+                    w = g.window(lo, lo + parts[-1])
+                    p, q = p * w.numerator, q * w.denominator
+            except ContentPoleError:
+                lam = Partition._of(parts)
+                if all(content_product(g, n, lam) for g in gs):
+                    raise
+                p = 0
+            walked[parts] = p, q
+            pairs.append((p, q))
+        out.append(_pair_sum(pairs))
     return out

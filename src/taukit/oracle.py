@@ -402,7 +402,10 @@ def moment_unit_interval(n: int, a: Fraction) -> float:
 
 
 def moment_halfline_pfs(n: int, a: Sequence, b: Sequence) -> float:
-    """int_0^infty x^n pFs(a; b; -x) dx for p <= s (convergent case)."""
+    """int_0^infty x^n pFs(a; b; -x) dx for p <= s and every a_i > n + 1:
+    the moment n lies in the Mellin strip of pFs(-x), 0 < Re z < min a_i."""
+    if len(a) > len(b) or any(ai <= n + 1 for ai in a):
+        raise ValueError(f"moment {n} lies outside the Mellin strip: it needs p <= s and every a_i > {n + 1}")
     import mpmath
     from scipy import integrate
 

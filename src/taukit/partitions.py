@@ -26,6 +26,14 @@ class Partition:
             raise ValueError(f"negative part in {parts}")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _of(cls, parts: tuple[int, ...]) -> "Partition":
+        """The partition of a tuple of positive ints already weakly
+        decreasing, as the walks of ``_parts_of_weight`` yield them; no checks."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "parts", parts)
+        return lam
+
     def __setattr__(self, *a):
         raise AttributeError("Partition is immutable")
 
@@ -125,7 +133,7 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
     def __str__(self):
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+        return "[" + ",".join(map(str, self.parts)) + "]"
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -204,13 +212,14 @@ class SkewShape:
 
 def _parts_of_weight(n: int, max_part: int, max_len: int) -> Iterator[tuple[int, ...]]:
     """Partitions of exactly n, first part <= max_part, length <= max_len,
-    descending lexicographic order."""
+    descending lexicographic order.  A first part below n / max_len leaves
+    too much for the other rows, so it is not tried."""
     if n == 0:
         yield ()
         return
     if max_len == 0:
         return
-    for first in range(min(n, max_part), 0, -1):
+    for first in range(min(n, max_part), (n - 1) // max_len if max_len > 0 else 0, -1):
         for rest in _parts_of_weight(n - first, first, max_len - 1):
             yield (first,) + rest
 

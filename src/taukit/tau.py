@@ -15,21 +15,22 @@ residual, one-variable ODE and q-difference residuals, and the wave
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence
 
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, _parts_of_weight
 from .symfun import (
     PolyRing,
     PolySeries,
     Times,
     _as_fraction,
     _det,
-    _key,
     _num_den,
     _schur_numerator,
+    _schur_value,
     h_list,
     miwa,
-    schur,
+    schur,  # noqa: F401 - taukit.tau.schur stays a name perfbench's tracer rebinds
     schur_expansion,
 )
 from .weights import (
@@ -38,6 +39,7 @@ from .weights import (
     ContentZeroError,
     QRationalContent,
     RationalContent,
+    _OneMinusPowers,
     content_product,
 )
 
@@ -198,15 +200,19 @@ class TauSeries:
 
 
 def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int, size: Optional[int] = None):
-    """(lambda, p, q) with r_lambda(n) = p / q for |lambda| <= size (default
-    D) and l(lambda) <= lmax, with zero weights skipped.
+    """(parts, mask, |lambda|, p, q) with r_lambda(n) = p / q for the
+    partitions lambda of |lambda| <= size (default D) and l(lambda) <= lmax,
+    with zero weights skipped; mask is the bead mask of lambda (symfun's
+    ``_key``).
 
     Scanning away from the charge over the window of |lambda| <= D, a zero
     of r truncates the series (no partition can reach past it), while a
-    pole before any zero is an error.  Partitions come graded by weight, so
-    the pair of lambda is that of lambda without its last row, already
-    weighed, times the r-window of that row (row l, of k cells, covers the
-    contents n - l + 1 .. n - l + k), and is never reduced.
+    pole before any zero is an error.  The walk goes weight by weight over
+    the part tuples of ``_parts_of_weight``, so lambda's parent, lambda
+    without its last row, is already walked: the mask of lambda is the
+    parent's shifted by one plus the bit of the last part, and its pair is
+    the parent's times the r-window of that row (row l, of k cells, covers
+    the contents n - l + 1 .. n - l + k), never reduced.
     """
 
     def reach(step: int, limit: int) -> int:
@@ -221,26 +227,30 @@ def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int, size: Op
                 return k
         return limit
 
-    row_cap = reach(-1, max(lmax, 1))
-    col_cap = reach(1, max(D, 1))
+    rows = min(lmax, reach(-1, max(lmax, 1)))
+    cols = reach(1, max(D, 1))
     size = D if size is None else size
-    weights = {(): (1, 1)}
-    for lam in enumerate_partitions(size, length_max=min(lmax, row_cap), col_max=col_cap):
-        parts = lam.parts
-        p, q = weights[parts[:-1]]
-        if p and parts:
-            lo = n - len(parts)
-            try:
-                w = r.window(lo, lo + parts[-1])
-            except ContentPoleError:
-                # the scan leaves only r(n) unchecked; content_product raises
-                # the same pole, naming its cell
-                content_product(r, lo + 1, Partition(parts[-1:]))
-                raise
-            p, q = p * w.numerator, q * w.denominator
-        weights[parts] = p, q
-        if p:
-            yield lam, p, q
+    walked = {(): (0, 1, 1)}
+    if size >= 0:
+        yield (), 0, 0, 1, 1
+    for e in range(1, size + 1):
+        for parts in _parts_of_weight(e, min(e, cols), min(e, rows)):
+            mask, p, q = walked[parts[:-1]]
+            last = parts[-1]
+            mask = mask << 1 | 1 << last
+            if p:
+                lo = n - len(parts)
+                try:
+                    w = r.window(lo, lo + last)
+                except ContentPoleError:
+                    # the scan leaves only r(n) unchecked; content_product
+                    # raises the same pole, naming its cell
+                    content_product(r, lo + 1, Partition._of((last,)))
+                    raise
+                p, q = p * w.numerator, q * w.denominator
+            walked[parts] = mask, p, q
+            if p:
+                yield parts, mask, e, p, q
 
 
 def tau_series(spec: TauSpec, D: int, length_max: Optional[int] = None) -> TauSeries:
@@ -250,7 +260,8 @@ def tau_series(spec: TauSpec, D: int, length_max: Optional[int] = None) -> TauSe
     ``length_max`` (for integrals whose length cut is not induced by r),
     and the zero-of-r truncation; poles of r inside the reachable content
     window are errors.  Each coefficient is one Fraction of the product of
-    the integer numerators of r_lambda(n) and of each specialized side.
+    the integer numerators of r_lambda(n) and of each specialized side, and
+    a Partition is built only for a coefficient that is kept.
     """
     if D < 0:
         raise ValueError("cutoff must be >= 0")
@@ -262,8 +273,7 @@ def tau_series(spec: TauSpec, D: int, length_max: Optional[int] = None) -> TauSe
             lmax = min(lmax, cap)
     specialized = [t for t in (spec.tside.times(D), spec.uside.times(D)) if t is not None]
     coeffs: dict[Partition, Fraction] = {}
-    for lam, p, q in _weighted_partitions(r, n, D, lmax):
-        key, e = _key(lam.parts), lam.weight
+    for parts, key, e, p, q in _weighted_partitions(r, n, D, lmax):
         for times in specialized:
             s, den = _schur_numerator(times, key, e)
             p *= s
@@ -271,7 +281,7 @@ def tau_series(spec: TauSpec, D: int, length_max: Optional[int] = None) -> TauSe
                 break
             q *= den
         if p:
-            coeffs[lam] = Fraction(p, q)
+            coeffs[Partition._of(parts)] = Fraction(p, q)
     return TauSeries(spec, D, coeffs)
 
 
@@ -340,37 +350,49 @@ def hyper_q(
 
 
 def pfs_one_var_coeffs(a: Sequence, b: Sequence, D: int) -> list[Fraction]:
-    """Taylor coefficients of the one-variable pFs by the term recurrence."""
+    """Taylor coefficients of the one-variable pFs by the term recurrence.
+
+    With a_i = n_i / d_i and b_j = n'_j / d'_j, the term ratio
+    prod (a_i + m) / ((m + 1) prod (b_j + m)) is the integer pair
+    (prod (n_i + m d_i) prod d'_j, (m + 1) prod d_i prod (n'_j + m d'_j)),
+    and each coefficient is the one before times its Fraction.
+    """
     a = [_as_fraction(x) for x in a]
     b = [_as_fraction(x) for x in b]
+    num0, den0 = prod(bj.denominator for bj in b), prod(ai.denominator for ai in a)
     cs = [Fraction(1)]
     for m in range(D):
-        num = Fraction(1)
+        num, den = num0, (m + 1) * den0
         for ai in a:
-            num *= ai + m
-        den = Fraction(m + 1)
+            num *= ai.numerator + m * ai.denominator
         for bj in b:
-            den *= bj + m
+            den *= bj.numerator + m * bj.denominator
         if den == 0:
             raise ContentPoleError(f"pFs parameter pole at term {m + 1}")
-        cs.append(cs[-1] * num / den)
+        cs.append(cs[-1] * Fraction(num, den))
     return cs
 
 
 def qphi_one_var_coeffs(a: Sequence[int], b: Sequence[int], q, D: int) -> list[Fraction]:
-    """Taylor coefficients of the one-variable basic series pPhi_s."""
-    q = _as_fraction(q)
+    """Taylor coefficients of the one-variable basic series pPhi_s.
+
+    The term ratio prod (1 - q^(a_i+m)) / ((1 - q^(m+1)) prod (1 - q^(b_j+m)))
+    is one integer pair read from the table of 1 - q^k, and each
+    coefficient is the one before times its Fraction.
+    """
+    one_minus = _OneMinusPowers(_as_fraction(q))
     cs = [Fraction(1)]
     for m in range(D):
-        num = Fraction(1)
+        den, num = one_minus[m + 1]  # 1 / (1 - q^(m+1))
         for ai in a:
-            num *= 1 - q ** (ai + m)
-        den = 1 - q ** (m + 1)
+            f, g = one_minus[ai + m]
+            num, den = num * f, den * g
         for bj in b:
-            den *= 1 - q ** (bj + m)
+            f, g = one_minus[bj + m]
+            num, den = num * g, den * f
         if den == 0:
             raise ContentPoleError(f"qPhi parameter pole at term {m + 1}")
-        cs.append(cs[-1] * num / den)
+        cs.append(cs[-1] * Fraction(num, den))
     return cs
 
 
@@ -394,11 +416,13 @@ class DetRepResult:
         return self.lhs == self.rhs
 
 
-def _alternant(xs: Sequence[PolySeries], lam: Partition):
+def _alternant(xs: Sequence[PolySeries], parts: tuple[int, ...]):
     """Delta(x) s_lambda(x) = det(x_i^(lambda_j + N - j)), the bialternant
-    formula (Macdonald, Symmetric Functions, I.3), for l(lambda) <= N."""
+    formula (Macdonald, Symmetric Functions, I.3), for the parts of a
+    lambda with l(lambda) <= N."""
     N = len(xs)
-    return _det([[x ** (lam.part(j) + N - j) for j in range(1, N + 1)] for x in xs])
+    parts = parts + (0,) * (N - len(parts))
+    return _det([[x ** (p + N - j) for j, p in enumerate(parts, start=1)] for x in xs])
 
 
 def det_rep_one_side(
@@ -423,11 +447,11 @@ def det_rep_one_side(
         raise ValueError("the t* side must be specialized for this identity")
     # series side
     lhs = ring.zero()
-    for lam, p, q in _weighted_partitions(r, M, D, N):
-        su = schur(lam, u_times)
+    for parts, key, e, p, q in _weighted_partitions(r, M, D, N):
+        su = _schur_value(u_times, key, e)
         if su == 0:
             continue
-        lhs = lhs + _alternant(xs, lam) * (su * Fraction(p, q))
+        lhs = lhs + _alternant(xs, parts) * (su * Fraction(p, q))
     # determinant side
     # one eigenvalue keeps only single rows: c_j = r(m) ... r(m+j-1) h_j(t*)
     col_coeffs = [
@@ -483,8 +507,8 @@ def det_rep_two_side(r: ContentFunction, M: int, N: int, D: int) -> DetRepResult
     lhs = ring.zero()
     # each alternant has degree |lambda| + N(N-1)/2, so only 2|lambda| <= D
     # survives the cap; the pole scan still covers |lambda| <= D
-    for lam, p, q in _weighted_partitions(r, M, D, N, D // 2):
-        lhs = lhs + _alternant(xs, lam) * _alternant(ys, lam) * Fraction(p, q)
+    for parts, _, _, p, q in _weighted_partitions(r, M, D, N, D // 2):
+        lhs = lhs + _alternant(xs, parts) * _alternant(ys, parts) * Fraction(p, q)
     # kernel entries
     m0 = M - N + 1
     rhos = [r.window(m0 - 1, m0 + j - 1) for j in range(cap // 2 + 1)]
@@ -581,37 +605,46 @@ def hirota_residual(r: ContentFunction, n: int, D: int) -> PolySeries:
     return t * dtu - dt * du - tm * tp * r(n)
 
 
+def _difference(x: Fraction, f: tuple[int, int], y: Fraction, g: tuple[int, int]) -> Fraction:
+    """x f - y g for Fractions x, y and integer pairs f, g, as one Fraction."""
+    (fn, fd), (gn, gd) = f, g
+    xd, yd = x.denominator * fd, y.denominator * gd
+    return Fraction(x.numerator * fn * yd - y.numerator * gn * xd, xd * yd)
+
+
 def ode_residual(a: Sequence, b: Sequence, D: int) -> list[Fraction]:
     """Residual coefficients of the generalized hypergeometric operator
 
         prod_{k=0}^{s} (x d/dx + b_k - 1) - x prod_j (x d/dx + a_j),  b_0 = 1,
 
     applied to the truncated one-variable series; zero through degree D-1.
+    Each coefficient c_m m prod (m + b_k - 1) - c_{m-1} prod (m - 1 + a_j)
+    is formed from integer pairs as one Fraction.
     """
     cs = pfs_one_var_coeffs(a, b, D)
     a = [_as_fraction(x) for x in a]
     b = [_as_fraction(x) for x in b]
+    den_b, den_a = prod(bk.denominator for bk in b), prod(aj.denominator for aj in a)
     res = []
     for m in range(D):
-        first = cs[m] * m
-        for bk in b:
-            first *= m + bk - 1
-        second = cs[m - 1] if m >= 1 else Fraction(0)
-        for aj in a:
-            second *= m - 1 + aj
-        res.append(first - second)
+        first = m * prod(bk.numerator + (m - 1) * bk.denominator for bk in b)
+        second = prod(aj.numerator + (m - 1) * aj.denominator for aj in a) if m else 0
+        res.append(_difference(cs[m], (first, den_b), cs[m - 1] if m else 0, (second, den_a)))
     return res
 
 
 def q_difference_residual(a: Sequence[int], b: Sequence[int], q, D: int) -> list[Fraction]:
     """Residual of ((1/x)(1 - q^{x d/dx}) - r_q(x d/dx)) on the basic series;
-    zero through degree D-1."""
-    q = _as_fraction(q)
+    zero through degree D-1.  Each coefficient
+    c_{m+1} (1 - q^(m+1)) - c_m r_q(m) is formed from integer pairs, with
+    1 - q^(m+1) from the table of r_q = QRationalContent(a, b, q), as one
+    Fraction."""
     cs = qphi_one_var_coeffs(a, b, q, D)
     rq = QRationalContent(a, b, q)
     res = []
     for m in range(D):
-        res.append(cs[m + 1] * (1 - q ** (m + 1)) - cs[m] * rq(m))
+        r = rq(m)
+        res.append(_difference(cs[m + 1], rq.one_minus[m + 1], cs[m], (r.numerator, r.denominator)))
     return res
 
 

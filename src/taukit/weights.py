@@ -10,6 +10,7 @@ the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .partitions import Partition, SkewShape
@@ -113,11 +114,28 @@ class RationalContent(ContentFunction):
         return f"RationalContent(a=[{a}], b=[{b}])"
 
 
+class _OneMinusPowers(dict):
+    """k -> (num, den) with 1 - q^k = num / den for an integer k, from integer
+    powers of q = u/v: (v^k - u^k, v^k) for k >= 0, (u^-k - v^-k, u^-k)
+    below; neither is reduced."""
+
+    def __init__(self, q: Fraction):
+        super().__init__()
+        self.u, self.v = q.numerator, q.denominator
+
+    def __missing__(self, k: int) -> tuple[int, int]:
+        u, v, e = (self.u, self.v, k) if k >= 0 else (self.v, self.u, -k)
+        ve = v**e
+        pair = self[k] = (ve - u**e, ve)
+        return pair
+
+
 class QRationalContent(ContentFunction):
     """r(k) = prod_i (1 - q^(a_i + k)) / prod_j (1 - q^(b_j + k)).
 
     Offsets a_i, b_j are integers so every value stays rational; q is an
-    exact rational with 0 < |q| < 1.
+    exact rational with 0 < |q| < 1.  ``one_minus`` is the table
+    k -> (num, den) of 1 - q^k as integer pairs, so a value is one Fraction.
     """
 
     def __init__(self, a: Sequence[int] = (), b: Sequence[int] = (), q=Fraction(1, 2)):
@@ -128,18 +146,19 @@ class QRationalContent(ContentFunction):
         if not (0 < abs(q) < 1):
             raise ValueError("q must be a rational with 0 < |q| < 1")
         self.q = q
+        self.one_minus = _OneMinusPowers(q)
 
     def _eval(self, k):
-        den = Fraction(1)
+        num = den = 1
         for bj in self.b:
-            f = 1 - self.q ** (bj + k)
+            f, g = self.one_minus[bj + k]
             if f == 0:
                 raise ContentPoleError(f"q-pole at k={k} (b={bj})")
-            den *= f
-        num = Fraction(1)
+            num, den = num * g, den * f
         for ai in self.a:
-            num *= 1 - self.q ** (ai + k)
-        return num / den
+            f, g = self.one_minus[ai + k]
+            num, den = num * f, den * g
+        return Fraction(num, den)
 
     def __repr__(self):
         return f"QRationalContent(a={list(self.a)}, b={list(self.b)}, q={_num_den(self.q)})"
@@ -269,6 +288,17 @@ def content_product(r: ContentFunction, n: int, lam: Partition) -> Fraction:
             return Fraction(0)
         out *= v
     return out
+
+
+def _pair_sum(pairs) -> Fraction:
+    """sum p/q over unreduced integer pairs (p, q) as one Fraction: each
+    pair is brought to the lcm of the denominators before it."""
+    num, den = 0, 1
+    for p, q in pairs:
+        if p:
+            g = gcd(den, q)
+            num, den = num * (q // g) + p * (den // g), den * (q // g)
+    return Fraction(num, den)
 
 
 def skew_content_product(r: ContentFunction, n: int, shape: SkewShape) -> Fraction:

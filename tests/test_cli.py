@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -296,6 +297,12 @@ BAD_INPUTS = [
     ("--tol", ["oracle", "mu", "--tol", "-1"]),
     ("--sigma", ["oracle", "ginibre", "--sigma", "0"]),
     ("--sigma", ["oracle", "ginibre", "--sigma", "nan"]),
+    ("--q", ["verify", "qdiff", "--q=1"]),
+    ("--q", ["verify", "qdiff", "--q=2"]),
+    ("--q", ["hyper", "qphi", "--q=-1", "--x", "1", "--deg", "2"]),
+    # parameter poles of the one-variable recurrences, met once the command runs
+    ("--b", ["verify", "ode", "--b=0"]),
+    ("--qb", ["verify", "qdiff", "--qb=-2"]),
 ]
 
 
@@ -328,6 +335,17 @@ def test_negative_deg_exits_two_naming_deg(capsys, argv):
 def test_oracle_mu_unit_diverging_a_exits_two(capsys, a):
     assert main(["oracle", "mu", "--contour", "unit", f"--a-param={a}"]) == 2
     assert "--a-param" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--moment", "0"], ["--moment", "1"], ["--moment", "3"],  # the defaults --A 1,1/2 --B 1,1/3
+    ["--moment", "1", "--A=4,3", "--B=1"],  # p > s
+])
+def test_oracle_mu_halfline_outside_the_mellin_strip_exits_two(capsys, argv):
+    assert main(["oracle", "mu", "--contour", "halfline", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --A: invalid value" in err and "Mellin strip" in err, err
+    assert main(["oracle", "mu", "--contour", "halfline", "--moment", "1", "--A=4", "--B=3/2"]) == 0
 
 
 def test_oracle_haar_bad_size_exits_two(capsys):
@@ -373,6 +391,56 @@ def test_golden_stdout(capsys, digest, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+# sha256 of stdout, with the timing of a verify report set to 0, recorded
+# from the cell-by-cell, Frobenius and Fraction-power routes before the
+# integer-pair routes replaced them
+INTEGER_ROUTE_STDOUT = [
+    ("dfe127b49903edf9138293a93783fab0b0e2de82c1c58d8660a0d86a8bcf82d5", ["verify", "ode", "--deg", "300"]),
+    ("5d9e9ba5db918ddc678231fe280d794e005c3ccd49b0348ba9a4c279918614ad", ["verify", "qdiff", "--deg", "300"]),
+    ("b5187158b3802342491293c9609932838999e9dce9f22db6b2a84f9a7141b1c5",
+     ["model", "loop", "--g", "rational:a=1/2;b=-3/2", "--g", "rational:a=-1/3;b=5/2", "--n", "1", "--deg", "9"]),
+    ("28b07a7ca668df1043d69931dc205c568cc9c210d22fbb92a641c5e47e191443",
+     ["fock", "verify", "--suite", "trace", "--deg", "12"]),
+    ("9bbe4437b486ae2356a00e9f683ebcf203404f426bc868367dbb6722c157f0c2",
+     ["tau", "--r", "rational:a=1/2,-5/3;b=7/2", "--n", "1", "--t", "ta:5/3", "--tstar", "qgeo:1/3", "--deg", "12"]),
+    ("a4f60f536c2075c04f71b5928ecd215f22b2a89f471fdbc7196f841502ff2eb0",
+     ["tau", "--r", "rational:a=1/2;b=7/2", "--n=-1", "--t", "eigs:1,1/2,1/3", "--tstar", "eigs:2/3,1/5,1/7,1/9",
+      "--deg", "12"]),
+]
+
+
+@pytest.mark.parametrize("digest, argv", INTEGER_ROUTE_STDOUT, ids=[" ".join(a) for _, a in INTEGER_ROUTE_STDOUT])
+def test_integer_route_stdout_is_pinned(capsys, digest, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    out = re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+# (argv, exit code, stdout, stderr) of a pole inside a row window: a zero
+# cell before it gives weight 0, else it is named by its cell; the Fock
+# trace meets it in r's own window products first
+POLE_PARITY = [
+    (["model", "loop", "--g", "rational:b=-2", "--n", "0", "--deg", "5"], 2, "",
+     "error: pole at cell (1,3) of [3]: argument 2\n"),
+    (["model", "loop", "--g", "rational:a=1;b=2", "--g", "rational:b=-1", "--n", "0", "--deg", "5"], 2, "",
+     "error: pole at cell (1,2) of [2]: argument 1\n"),
+    (["model", "loop", "--g", "rational:a=-1;b=-2", "--n", "0", "--deg", "5"], 0,
+     '{\n  "model": "loop",\n  "graded_trace": [\n    "1/1",\n    "1/2",\n    "1/3",\n    "1/4",\n    "1/5",\n'
+     '    "1/6"\n  ]\n}\n', ""),
+    (["fock", "verify", "--suite", "trace", "--r", "rational:b=-2", "--n", "0", "--deg", "5"], 2, "",
+     "error: r has a pole at k=2 (b=-2)\n"),
+    (["fock", "verify", "--suite", "trace", "--r", "rational:a=-1;b=-2", "--n", "0", "--deg", "5"], 2, "",
+     "error: r has a pole at k=2 (b=-2)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", POLE_PARITY, ids=[" ".join(a) for a, *_ in POLE_PARITY])
+def test_pole_inside_a_row_window(capsys, argv, code, out, err):
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
 
 
 # valid and bad commands alternate; the parser is built once per process, so

@@ -229,21 +229,22 @@ def test_det_rep_two_side():
 def test_det_rep_two_side_weighs_only_what_the_cap_keeps(monkeypatch):
     # each alternant has degree |lambda| + N(N-1)/2 against the cap
     # D + N(N-1), so only 2|lambda| <= D contributes and only those lambda
-    # are enumerated and weighed
+    # are walked and weighed
     import taukit.tau as tau_mod
 
+    walk = tau_mod._weighted_partitions
     seen = []
 
     def counting(*args, **kwargs):
-        for lam in enumerate_partitions(*args, **kwargs):
-            seen.append(lam)
-            yield lam
+        for item in walk(*args, **kwargs):
+            seen.append(item[2])  # |lambda|
+            yield item
 
-    monkeypatch.setattr(tau_mod, "enumerate_partitions", counting)
+    monkeypatch.setattr(tau_mod, "_weighted_partitions", counting)
     for N, D in [(1, 7), (2, 6), (3, 6)]:
         seen.clear()
         assert det_rep_two_side(RationalContent([F(1, 2)], [F(7, 2)]), 1, N, D).matches()
-        assert seen and max(lam.weight for lam in seen) == D // 2, (N, D)
+        assert seen and max(seen) == D // 2, (N, D)
     # the pole scan still covers |lambda| <= D: r(5) = 6/0 lies beyond the
     # contents of |lambda| <= 3 but inside the window of D = 6
     with pytest.raises(ContentPoleError):
