@@ -4,7 +4,9 @@ Subcommands: tau, hyper (pfs|two|qphi), model (quartic|two|hciz|nmm|gw|
 unitary|gen43|loop), fock, oracle (haar|ginibre|wick|mu), verify.  All exact
 values are printed as "num/den" strings; floats appear only in Monte Carlo
 and quadrature reports and always carry their error estimate.  Exit codes:
-0 success, 1 verification failure (with counterexample), 2 usage error.
+0 success, 1 verification failure (with counterexample), 2 usage error,
+3 an oracle ran past its accuracy range (the message names the parameter
+and the error estimate).
 Every option value is converted while the command line is parsed, so a value
 that does not parse exits 2 with a message naming its option, e.g.
 "taukit tau: error: argument --t: invalid value 'ta:1/0' (zero denominator)".
@@ -185,7 +187,7 @@ def cmd_tau(args) -> int:
 
 def cmd_hyper_pfs(args) -> int:
     side = Formal() if args.x is None else Eigs(args.x)
-    ts = hyper_pfs(args.a, args.b, args.m, side, args.deg)
+    ts = _poles_name("--b", args.b, hyper_pfs, args.a, args.b, args.m, side, args.deg)
     if args.x == [1]:
         coeffs = {str(d): _num_den(c) for d, c in enumerate(ts.one_variable_coeffs())}
     else:
@@ -196,19 +198,21 @@ def cmd_hyper_pfs(args) -> int:
 
 
 def cmd_hyper_two(args) -> int:
-    ts = hyper_two_arg(args.a, args.b, args.m, args.x, args.y, args.deg)
+    ts = _poles_name("--b", args.b, hyper_two_arg, args.a, args.b, args.m, args.x, args.y, args.deg)
     _emit(args, {"family": "two-argument", "coefficients": ts.to_json()})
     return 0
 
 
 def cmd_hyper_qphi(args) -> int:
-    ts = hyper_q(args.a, args.b, args.q, args.m, args.x, args.y, args.deg)
+    ts = _poles_name("--b", args.b, hyper_q, args.a, args.b, args.q, args.m, args.x, args.y, args.deg)
     _emit(args, {"family": "qPhi", "q": str(args.q), "coefficients": ts.to_json()})
     return 0
 
 
 def cmd_model(args) -> int:
     which = args.which
+    if args.n < 0 and (which == "unitary" or which == "gen43" and args.kind != "gw_unit"):
+        raise _bad_value("--n", [args.n], "the length cap l(lambda) <= n needs n >= 0")
     if which == "quartic":
         ms = models_mod.quartic_series(args.order)
         payload = {"model": "quartic", "orders_in_N": ms.to_json()}
@@ -347,8 +351,9 @@ def cmd_oracle(args) -> int:
         return 0
     if which == "mu":
         n, m = args.moment, args.moment2 if args.moment2 is not None else args.moment
+        est = 0.0
         if args.contour == "imag":
-            val = oracle_mod.moment_real_imaginary_limit(n, m)
+            val, est = oracle_mod._real_imaginary_limit(n, m, 1e-4)
             target = -2j * math.pi * math.factorial(n) if n == m else 0j
             report = {"n": n, "m": m, "value": str(val), "target": str(target)}
         elif args.contour == "circle":
@@ -358,7 +363,7 @@ def cmd_oracle(args) -> int:
         elif args.contour == "unit":
             a = args.a_param
             try:
-                val = oracle_mod.moment_unit_interval(n, a)
+                val, est = oracle_mod._unit_interval(n, a)
             except ValueError as exc:
                 raise ValueError(f"--a-param {_num_den(a)}: {exc}") from None
             target = float(
@@ -367,12 +372,18 @@ def cmd_oracle(args) -> int:
             report = {"n": n, "a": str(a), "value": val, "target": target}
         else:
             try:
-                val = oracle_mod.moment_halfline_pfs(n, args.A, args.B)
+                val, est = oracle_mod._halfline_pfs(n, args.A, args.B)
             except ValueError as exc:
                 raise _bad_value("--A", args.A, exc) from None
             target = float(oracle_mod.halfline_exact(n, args.A, args.B))
             report = {"n": n, "value": val, "target": target}
-        err = abs(val - target) / max(abs(target), 1.0)
+        scale = max(abs(target), 1.0)
+        if est / scale > args.tol:
+            raise oracle_mod.DivergenceError(
+                f"--moment {n}: the {args.contour} quadrature's relative error estimate "
+                f"{est / scale:.2g} exceeds --tol {args.tol:g}"
+            )
+        err = abs(val - target) / scale
         _emit(args, {"contour": args.contour, **report, "rel_error": err})
         return 0 if err < args.tol else 1
     raise ValueError(which)
@@ -598,6 +609,9 @@ def main(argv=None) -> int:
     args._t0 = time.time()
     try:
         return args.func(args)
+    except oracle_mod.DivergenceError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

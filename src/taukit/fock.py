@@ -455,9 +455,18 @@ def h0_eigenvalue(r: ContentFunction, lam: Partition, n: int) -> Fraction:
 def trace_h0(r: ContentFunction, n: int, D: int) -> list[Fraction]:
     """Graded trace over the charge-n sector: [sum_{|lambda|=d} r_lambda(n)]
     for d = 0..D, summing the diagonal charge operator's eigenvalues over
-    the bead masks of weight d."""
+    the bead masks of weight d.
+
+    As in the tau walk, the first zero of r on each side of the charge
+    bounds the first part and the length, so a pole behind a zero is never
+    reached; a pole met first by the scan keeps r's own message."""
+
+    def reach(step: int) -> int:
+        return next((k for k in range(1, D) if r(n + step * k) == 0), D)
+
+    cols, rows = reach(1), reach(-1)
     return [
-        _pair_sum(_h0_pair(r, _key(parts), n) for parts in _parts_of_weight(d, d, d))
+        _pair_sum(_h0_pair(r, _key(parts), n) for parts in _parts_of_weight(d, min(d, cols), min(d, rows)))
         for d in range(D + 1)
     ]
 

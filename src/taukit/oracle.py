@@ -308,67 +308,79 @@ def quartic_wick_order(k: int) -> Poly1:
 # -- moment measures -----------------------------------------------------------
 
 
+DPS = 20  # working digits of every moment quadrature
+MOMENT_RTOL = 1e-6  # relative error estimate past which a moment raises
+HALFLINE_X_MAX = 200  # log10 of the largest x at which the half-line quadrature evaluates pFs
+
+
 class DivergenceError(ArithmeticError):
-    """A quadrature failed to converge."""
+    """A moment's error estimate exceeds its accuracy target."""
+
+
+def _quad(f: Callable, points: Sequence) -> tuple:
+    """(value, error estimate) of int f over the segments between points by
+    tanh-sinh quadrature (Takahasi-Mori 1974), f running at DPS digits.  The
+    estimate is absolute and at most 1; callers map singular ends and heavy tails away."""
+    import mpmath  # on first use, so that `import taukit` does not pay for it
+
+    with mpmath.workdps(DPS):
+        return mpmath.quad(f, points, error=True)
+
+
+def _within(value, error):
+    """value, unless its error estimate exceeds MOMENT_RTOL of max(1, |value|)."""
+    if error > MOMENT_RTOL * max(1.0, abs(value)):
+        raise DivergenceError(f"quadrature error estimate {error:.2g}")
+    return value
+
+
+def _real_imaginary(n: int, m: int, eps: float) -> tuple[complex, float]:
+    # In the scaled variable u = x/(2 sqrt(eps)):
+    #   (d/dx)^m G(x) = (2 sqrt(eps))^-m sqrt(pi/eps) (-1)^m H_m(u) e^{-u^2}
+    # with H_m the physicists' Hermite polynomial, and e^{-eps x^2} e^{-u^2}
+    # = e^{-(1 + 4 eps^2) u^2}.  u^n H_m(u) has the parity of n + m, so the u
+    # integral is 0 or twice its half-line part.  With the (-1)^m above,
+    # dy = i ds downwards, y^m = i^m s^m and the i^m of the s integral leave -i.
+    if (n + m) % 2:
+        return 0j, 0.0
+    import mpmath
+
+    # u^n H_m(u), highest degree first: H_m = sum_k (-1)^k m! (2u)^(m-2k) / (k! (m-2k)!)
+    coeffs = [0] * (m + 1 + n)
+    for k in range(m // 2 + 1):
+        coeffs[2 * k] = (-1) ** k * math.factorial(m) * 2 ** (m - 2 * k) // (math.factorial(k) * math.factorial(m - 2 * k))
+    beta = 1 + 4 * eps * eps
+    val, err = _quad(lambda u: mpmath.polyval(coeffs, u) * mpmath.exp(-beta * u * u), [0, mpmath.inf])
+    c = 2 * mpmath.sqrt(4 * mpmath.mpf(eps)) ** (n + 1 - m) * mpmath.sqrt(mpmath.pi / eps)
+    return complex(-1j * c * val), float(c * err)
 
 
 def moment_real_imaginary(n: int, m: int, eps: float) -> complex:
-    """Regularized moment integral over the real x axis and imaginary y axis:
+    """Regularized moment integral over the real x axis and imaginary y axis,
 
         I_eps = int int x^n y^m e^{-x y} e^{-eps(x^2+s^2)} dx dy,  y = i s,
 
     with the y axis oriented from +i infinity to -i infinity (the orientation
-    that makes the diagonal value -2 pi i n!).  The oscillatory s integral is
-    a Gaussian Fourier transform done in closed form,
+    that makes the diagonal value -2 pi i n!).  The s integral is a Gaussian
+    Fourier transform, int s^m e^{-eps s^2 - i x s} ds = i^m (d/dx)^m G(x)
+    with G(x) = sqrt(pi/eps) exp(-x^2/(4 eps)), which leaves a Hermite
+    polynomial against a Gaussian in x.  As eps -> 0 the value converges to
+    -2 pi i delta_{nm} n! with O(eps) error."""
+    return _within(*_real_imaginary(n, m, eps))
 
-        int s^m e^{-eps s^2 - i x s} ds = i^m (d/dx)^m G(x),
-        G(x) = sqrt(pi/eps) exp(-x^2/(4 eps)),
 
-    leaving a concentrated real 1-D integral in x (quadrature after the
-    rescaling x = 2 sqrt(eps) u).  As eps -> 0 the value converges to
-    -2 pi i delta_{nm} n! with O(eps^2) error.
-    """
-    # In the scaled variable u = x/(2 sqrt(eps)):
-    #   (d/dx)^m G(x) = (2 sqrt(eps))^-m sqrt(pi/eps) (-1)^m H_m(u) e^{-u^2}
-    # with H_m the physicists' Hermite polynomial (O(1) coefficients, so no
-    # cancellation blowup at small eps).
-    hm = [np.polynomial.Polynomial([1.0]), np.polynomial.Polynomial([0.0, 2.0])]
-    for k in range(1, m):
-        hm.append(
-            np.polynomial.Polynomial([0.0, 2.0]) * hm[k]
-            - hm[k - 1] * (2.0 * k)
-        )
-    Hm = hm[m] if m >= 1 else hm[0]
-    s2e = 2.0 * math.sqrt(eps)
-    prefac = (-1.0) ** m * s2e ** (1 - m) * math.sqrt(math.pi / eps)
-
-    def integrand(u):
-        x = s2e * u
-        return (x**n) * math.exp(-eps * x * x) * Hm(u) * math.exp(-u * u) * prefac
-
-    import warnings
-
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            integrand, -14.0, 14.0, limit=400, epsabs=1e-12, epsrel=1e-11
-        )
-    scale_ref = abs(prefac) * s2e**n * max(1.0, float(math.factorial(max(n, m))))
-    if err > 1e-7 * max(abs(val), scale_ref):
-        raise DivergenceError(f"x-quadrature error {err}")
-    # reassemble: dy = i ds with downward orientation -> overall factor -i;
-    # y^m = i^m s^m; the s integral contributed another i^m
-    return (1j ** m) * (1j ** m) * (-1j) * val
+def _real_imaginary_limit(n: int, m: int, eps: float) -> tuple[complex, float]:
+    """(L(eps/2), error estimate), L(e) = 2 I_{e/2} - I_e cancelling the linear
+    regularization error.  The O(eps^2) left is about a third of
+    |L(eps) - L(eps/2)|, which plus the quadrature errors is the estimate."""
+    (i1, _), (i2, e2), (i3, e3) = (_real_imaginary(n, m, eps / 2**k) for k in range(3))
+    return 2 * i3 - i2, abs((2 * i2 - i1) - (2 * i3 - i2)) + e2 + 2 * e3
 
 
 def moment_real_imaginary_limit(n: int, m: int, eps: float = 1e-4) -> complex:
-    """Richardson-extrapolated eps -> 0 limit of the regularized moment
-    (the leading regularization error is linear in eps)."""
-    v1 = moment_real_imaginary(n, m, eps)
-    v2 = moment_real_imaginary(n, m, eps / 2)
-    return 2 * v2 - v1
+    """The eps -> 0 limit of the regularized moment, Richardson-extrapolated
+    from eps/2 and eps/4."""
+    return _within(*_real_imaginary_limit(n, m, eps))
 
 
 def moment_circle(n: int, m: int, grid: int = 256) -> complex:
@@ -384,63 +396,63 @@ def moment_circle(n: int, m: int, grid: int = 256) -> complex:
     return complex(val)
 
 
-def moment_unit_interval(n: int, a: Fraction) -> float:
-    """int_0^1 x^n (1-x)^(-a) dx for a < 1 (the 1F0 measure)."""
+def _unit_interval(n: int, a) -> tuple[float, float]:
+    """(value, error estimate): 1 - x = u^k with k = 1/(1 - a) turns the
+    integral into k int_0^1 (1 - u^k)^n du, bounded for every a < 1."""
     if a >= 1:
         raise ValueError("the integral diverges unless a < 1")
-    from scipy import integrate
+    k = 1 / (1 - Fraction(a))
+    val, err = _quad(lambda u: k * (1 - u**k) ** n, [0, 1])
+    return float(val), float(err)
 
-    af = float(a)
 
-    def integrand(x):
-        return x**n * (1.0 - x) ** (-af)
+def moment_unit_interval(n: int, a: Fraction) -> float:
+    """int_0^1 x^n (1-x)^(-a) dx for a < 1 (the 1F0 measure)."""
+    return _within(*_unit_interval(n, a))
 
-    val, err = integrate.quad(integrand, 0.0, 1.0, limit=200)
-    if err > 1e-10 * max(1.0, abs(val)):
-        raise DivergenceError(f"quadrature error {err}")
-    return val
+
+def _halfline_pfs(n: int, a: Sequence, b: Sequence) -> tuple[float, float]:
+    """(value, error estimate): x = t^(-1/delta) - 1 with delta = min a_i - n - 1
+    (1 if p = 0) maps the x^(n - min a_i) tail onto an integrand bounded at
+    t = 0.  The quadrature stops at the t = tau of x = 10^HALFLINE_X_MAX, past
+    which pFs slows down, and tau |f(tau)| bounds the part it leaves out."""
+    if len(a) > len(b) or any(ai <= n + 1 for ai in a):
+        raise ValueError(f"moment {n} lies outside the Mellin strip: it needs p <= s and every a_i > {n + 1}")
+    import mpmath
+
+    delta = min(map(Fraction, a)) - n - 1 if a else Fraction(1)
+    # (numerator, denominator) pairs are exact rational parameters of mpmath.hyper
+    ap, bp = ([(x.numerator, x.denominator) for x in map(Fraction, xs)] for xs in (a, b))
+
+    def f(t):
+        s = t ** (-1 / delta)
+        return (s - 1) ** n * mpmath.hyper(ap, bp, 1 - s) * s / (delta * t)
+
+    with mpmath.workdps(DPS):
+        tau = mpmath.mpf(10) ** (-HALFLINE_X_MAX * delta)
+        cut = tau * abs(f(tau))
+    val, err = _quad(f, [tau, 1])
+    return float(val), float(err + cut)
 
 
 def moment_halfline_pfs(n: int, a: Sequence, b: Sequence) -> float:
     """int_0^infty x^n pFs(a; b; -x) dx for p <= s and every a_i > n + 1:
     the moment n lies in the Mellin strip of pFs(-x), 0 < Re z < min a_i."""
-    if len(a) > len(b) or any(ai <= n + 1 for ai in a):
-        raise ValueError(f"moment {n} lies outside the Mellin strip: it needs p <= s and every a_i > {n + 1}")
-    import mpmath
-    from scipy import integrate
-
-    al = [mpmath.mpf(float(x)) for x in a]
-    bl = [mpmath.mpf(float(x)) for x in b]
-
-    def integrand(x):
-        return float(x**n * mpmath.hyper(al, bl, -x))
-
-    val, err = integrate.quad(integrand, 0.0, np.inf, limit=400)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise DivergenceError(f"quadrature error {err}")
-    return val
+    return _within(*_halfline_pfs(n, a, b))
 
 
 def halfline_exact(n: int, a: Sequence, b: Sequence) -> Fraction:
     """(-)^((n+1)(p-s)) n! prod (1-b_i)_{n+1} / prod (1-a_i)_{n+1}."""
-    p, s = len(a), len(b)
-    num = Fraction(math.factorial(n))
-    for bi in b:
-        num *= pochhammer(1 - _as_fraction(bi), n + 1)
-    den = Fraction(1)
-    for ai in a:
-        den *= pochhammer(1 - _as_fraction(ai), n + 1)
-    sign = Fraction((-1) ** ((n + 1) * (p - s)))
-    return sign * num / den
+    num = math.prod((pochhammer(1 - _as_fraction(x), n + 1) for x in b), start=Fraction(math.factorial(n)))
+    den = math.prod(pochhammer(1 - _as_fraction(x), n + 1) for x in a)
+    return (-1) ** ((n + 1) * (len(a) - len(b))) * num / den
 
 
 @dataclass
 class MomentMeasure:
-    """The one-variable measure series mu_r(x) = sum_m x^m / (r(-1)...r(-m)).
-
-    The term ratio at step m is 1/r(-m); ``closed_form`` is an optional tag
-    ("exp", "pfs", ...) recording a known resummation.
-    """
+    """The one-variable measure series mu_r(x) = sum_m x^m / (r(-1)...r(-m)),
+    term ratio 1/r(-m); ``closed_form`` optionally tags a known resummation
+    ("exp", "pfs", ...)."""
 
     r: ContentFunction
     coeffs: list
@@ -458,20 +470,14 @@ def mu_series_coeffs(r: ContentFunction, D: int) -> list[Fraction]:
     """The formal measure series mu_r(x) = 1 + x/r(-1) + x^2/(r(-1)r(-2)) + ...
     (requires r(0) = 0 and r(-m) != 0 on the window)."""
     out = [Fraction(1)]
-    acc = Fraction(1)
     for m in range(1, D + 1):
-        rm = r(-m)
-        if rm == 0:
+        if (rm := r(-m)) == 0:
             raise ZeroDivisionError(f"r(-{m}) = 0: measure series undefined")
-        acc /= rm
-        out.append(acc)
+        out.append(out[-1] / rm)
     return out
 
 
 def mu_annihilation_residual(coeffs: Sequence[Fraction], r: ContentFunction) -> list[Fraction]:
     """Residual of (1 - (1/x) r(-D_x)) mu through degree D-1:
     coefficient at x^m is c_m - c_{m+1} r(-(m+1))."""
-    out = []
-    for m in range(len(coeffs) - 1):
-        out.append(coeffs[m] - coeffs[m + 1] * r(-(m + 1)))
-    return out
+    return [coeffs[m] - coeffs[m + 1] * r(-(m + 1)) for m in range(len(coeffs) - 1)]

@@ -265,6 +265,8 @@ def tau_series(spec: TauSpec, D: int, length_max: Optional[int] = None) -> TauSe
     """
     if D < 0:
         raise ValueError("cutoff must be >= 0")
+    if length_max is not None and length_max < 0:
+        raise ValueError(f"length_max must be >= 0 (got {length_max})")
     r, n = spec.r, spec.n
     lmax = D if length_max is None else min(D, length_max)
     for side in (spec.tside, spec.uside):

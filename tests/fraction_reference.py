@@ -41,8 +41,21 @@ def frobenius_eigenvalue(r, lam, n):
 
 
 def trace_h0(r, n, D):
-    """sum_{|lambda|=d} of the Frobenius eigenvalue for d = 0..D."""
-    return [sum((frobenius_eigenvalue(r, lam, n) for lam in partitions_of(d)), F(0)) for d in range(D + 1)]
+    """sum_{|lambda|=d} of the Frobenius eigenvalue for d = 0..D over the
+    lambda whose cells stay inside the first zero of r on each side of the
+    charge; the scan goes right, then left, and a pole it meets first raises
+    r's own message."""
+    bounds = []
+    for step in (1, -1):
+        k = 1
+        while k < D and r(n + step * k) != 0:
+            k += 1
+        bounds.append(k)
+    cols, rows = bounds
+    return [
+        sum((frobenius_eigenvalue(r, lam, n) for lam in partitions_of(d) if lam.part(1) <= cols and lam.length <= rows), F(0))
+        for d in range(D + 1)
+    ]
 
 
 def q_rational_value(a, b, q, k):

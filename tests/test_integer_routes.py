@@ -47,7 +47,7 @@ def test_loop_scalar_product_equals_cell_by_cell(gs, n, D):
 
 @settings(max_examples=300, deadline=None)
 @given(contents, st.integers(-3, 3), st.integers(0, 10))
-@example(RationalContent([-1], [-2]), 0, 5)  # the Fock route meets the pole behind the zero
+@example(RationalContent([-1], [-2]), 0, 5)  # the zero of r(1) hides the pole of r(2)
 def test_trace_h0_equals_frobenius_route(r, n, D):
     assert outcome(trace_h0, r, n, D) == outcome(ref.trace_h0, r, n, D)
 

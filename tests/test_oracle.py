@@ -25,6 +25,7 @@ from taukit.oracle import (
     mc_schur_unitary_identity,
     moment_circle,
     moment_halfline_pfs,
+    moment_real_imaginary,
     moment_real_imaginary_limit,
     moment_unit_interval,
     mu_annihilation_residual,
@@ -303,6 +304,13 @@ def test_moment_real_imaginary():
         assert abs(v) < 1e-6 * 2 * math.pi * math.factorial(max(n, m))
 
 
+def test_moment_real_imaginary_of_odd_total_degree_is_zero():
+    # x^n H_m(x) is odd when n + m is: its Gaussian integral vanishes exactly
+    for n, m in [(0, 1), (1, 2), (4, 1)]:
+        assert moment_real_imaginary_limit(n, m) == 0
+    assert moment_real_imaginary(3, 0, 1e-3) == 0
+
+
 def test_moment_circle():
     for n in range(4):
         v = moment_circle(n, n)
@@ -450,10 +458,31 @@ def test_mc_golden_floats():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the quadrature oracles only when they run
+    # importing taukit does not load scipy, which it no longer depends on
     import taukit
 
     env = {**os.environ, "PYTHONPATH": str(Path(taukit.__file__).resolve().parent.parent)}
     code = "import sys, taukit; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_moment_oracles_run_without_scipy():
+    # the four contours' quadratures run on numpy and mpmath alone
+    import taukit
+
+    env = {**os.environ, "PYTHONPATH": str(Path(taukit.__file__).resolve().parent.parent)}
+    code = (
+        "import sys; from fractions import Fraction as F; from taukit import oracle as o; "
+        "o.moment_real_imaginary_limit(1, 1); o.moment_circle(1, 1); o.moment_unit_interval(1, F(-1, 2)); "
+        "o.moment_halfline_pfs(1, [F(4)], [F(3, 2)]); print('scipy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def test_moment_past_its_accuracy_range_raises_divergence():
+    # 1F2(-x) oscillates with a growing amplitude: inside the Mellin strip of
+    # its algebraic part, yet the quadrature cannot converge
+    with pytest.raises(DivergenceError, match="error estimate"):
+        moment_halfline_pfs(1, [F(4)], [F(3, 2), F(5, 2)])

@@ -91,6 +91,12 @@ def test_eigenvalue_side_restricts_length():
     assert all(lam.length <= 2 for lam in ts.coeffs)
 
 
+def test_negative_length_cap_is_rejected():
+    with pytest.raises(ValueError, match="length_max"):
+        tau_series(TauSpec(ONE, 0, Formal(), Formal()), 2, length_max=-1)
+    assert list(tau_series(TauSpec(ONE, 0, Formal(), Formal()), 2, length_max=0).coeffs) == [Partition([])]
+
+
 def test_hyper_pfs_against_one_variable_recurrence():
     a, b, c = F(1, 2), F(1, 3), F(5, 4)
     # one eigenvalue keeps only the rows (k); degree 60 is far beyond any
