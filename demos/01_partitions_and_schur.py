@@ -6,6 +6,8 @@ t_m = p_m / m and the exact Cauchy identity check.
 """
 
 from fractions import Fraction as F
+from itertools import combinations, permutations
+from math import prod
 
 from taukit import (
     Partition,
@@ -13,7 +15,6 @@ from taukit import (
     Times,
     cauchy_truncated,
     enumerate_partitions,
-    miwa,
     schur,
     schur_from_eigenvalues,
 )
@@ -37,13 +38,23 @@ t = Times.symbolic(ring, 4)
 print("s_(2,1)(t) =", schur(Partition([2, 1]), t))
 print()
 
-# two routes to the same number: Jacobi-Trudi after the Miwa map vs the
-# bialternant ratio at explicit eigenvalues
+# two routes to the same number: the library's Schur function at the Miwa
+# times m t_m = sum_i x_i^m vs the bialternant ratio
+# det(x_i^(lambda_j + n - j)) / det(x_i^(n - j)) at explicit eigenvalues
+def alternant(xs, exponents):
+    """det(x_i^(e_j)), summed over the permutations of the columns."""
+    return sum(
+        (-1) ** sum(a > b for a, b in combinations(perm, 2)) * prod(x ** exponents[j] for x, j in zip(xs, perm))
+        for perm in permutations(range(len(xs)))
+    )
+
+
 xs = [F(1, 2), F(2), F(-1, 3)]
+delta = [len(xs) - j for j in range(1, len(xs) + 1)]
 for shape in [(2,), (2, 1), (3, 1)]:
     lam = Partition(shape)
-    a = schur(lam, miwa(xs, lam.weight))
-    b = schur_from_eigenvalues(lam, xs)
+    a = schur_from_eigenvalues(lam, xs)
+    b = alternant(xs, [lam.part(j) + d for j, d in enumerate(delta, start=1)]) / alternant(xs, delta)
     print(f"s_{lam}({xs}) = {a}   (bialternant: {b})")
     assert a == b
 print()

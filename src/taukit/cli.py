@@ -237,7 +237,10 @@ def cmd_model(args) -> int:
         _emit(args, {"model": "hciz", "n": args.n, "deg": args.deg, "series_equals_determinant": ok})
         return 0 if ok else 1
     if which == "nmm":
-        rep = models_mod.normal_matrix_map(Times.of(args.u), args.deg)
+        try:
+            rep = models_mod.normal_matrix_map(Times.of(args.u), args.deg)
+        except models_mod.VanishingMomentError as exc:
+            raise _bad_value("--u", args.u, exc) from None
         _emit(args, {
             "model": "normal-matrix",
             "r_table": {str(k): _num_den(v) for k, v in sorted(rep["r_table"].items())},
@@ -285,11 +288,12 @@ def cmd_fock(args) -> int:
                     i_list = tuple(sorted(i_list, reverse=True))
                     for j_list in itertools.combinations(range(1, 8), kk):
                         j_list = tuple(sorted(j_list, reverse=True))
-                        try:
-                            lam = fock_mod.lemma_partition(i_list, j_list)
-                        except ValueError:
+                        # the weight of the lemma's partition, read before it is built
+                        if sum(i_list) + sum(j_list) - (s - kk) * (s - kk - 1) // 2 > args.deg:
                             continue
-                        if lam.weight > args.deg:
+                        try:
+                            fock_mod.lemma_partition(i_list, j_list)
+                        except ValueError:
                             continue
                         rep = fock_mod.lemma1_check(i_list, j_list)
                         if not rep["ok"]:
@@ -353,8 +357,11 @@ def cmd_oracle(args) -> int:
         n, m = args.moment, args.moment2 if args.moment2 is not None else args.moment
         est = 0.0
         if args.contour == "imag":
+            try:
+                target = -2j * math.pi * math.factorial(n) if n == m else 0j
+            except OverflowError:
+                raise _bad_value("--moment", [n], "the target -2 pi i n! overflows a float") from None
             val, est = oracle_mod._real_imaginary_limit(n, m, 1e-4)
-            target = -2j * math.pi * math.factorial(n) if n == m else 0j
             report = {"n": n, "m": m, "value": str(val), "target": str(target)}
         elif args.contour == "circle":
             val = oracle_mod.moment_circle(n, m)
@@ -378,7 +385,7 @@ def cmd_oracle(args) -> int:
             target = float(oracle_mod.halfline_exact(n, args.A, args.B))
             report = {"n": n, "value": val, "target": target}
         scale = max(abs(target), 1.0)
-        if est / scale > args.tol:
+        if not est / scale <= args.tol:  # a nan estimate is past the range too
             raise oracle_mod.DivergenceError(
                 f"--moment {n}: the {args.contour} quadrature's relative error estimate "
                 f"{est / scale:.2g} exceeds --tol {args.tol:g}"
@@ -473,6 +480,8 @@ def _mc_identities(args) -> dict:
 
 def cmd_verify(args) -> int:
     names = list(CHECKS) if args.what == "all" else [args.what]
+    if "det" in names and args.n < 1:  # the other checks take any charge
+        raise _bad_value("--n", [args.n], "the det check needs n >= 1 eigenvalues on each side")
     if args.poison not in (None, *names):
         raise ValueError(f"--poison {args.poison}: verify {args.what} does not run that check")
     reports = [_judge(n, args) for n in names]
@@ -486,7 +495,8 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     fracs, ints, frac, unit_q = _arg(_list_of(Fraction)), _arg(_list_of(int)), _arg(Fraction), _arg(_unit_q)
     content, side, partition = _arg(parse_content), _arg(parse_side), _arg(Partition.parse)
-    nonneg, samples = _arg(functools.partial(_at_least, 0)), _arg(functools.partial(_at_least, 2))
+    nonneg, positive_int = _arg(functools.partial(_at_least, 0)), _arg(functools.partial(_at_least, 1))
+    samples = _arg(functools.partial(_at_least, 2))
     positive = _arg(_positive)
     p = argparse.ArgumentParser(prog="taukit", description=__doc__)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -531,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mp = sub.add_parser("model", help="matrix-model series")
     mp.add_argument("which", choices=["quartic", "two", "hciz", "nmm", "gw", "unitary", "gen43", "loop"])
-    mp.add_argument("--order", type=int, default=2)
+    mp.add_argument("--order", type=positive_int, default=2)
     mp.add_argument("--deg", type=nonneg, default=6)
     mp.add_argument("--n", type=int, default=2)
     mp.add_argument("--u", type=fracs, default="")
@@ -555,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     op = sub.add_parser("oracle", help="Monte Carlo / Wick / quadrature oracles")
     op.add_argument("which", choices=["haar", "unitary-mc", "ginibre", "wick", "mu"])
-    op.add_argument("--n", type=int, default=2)
+    op.add_argument("--n", type=positive_int, default=2)
     op.add_argument("--l", type=partition, default="[1]")
     op.add_argument("--mu", type=partition, default=None)
     op.add_argument("--A", type=fracs, default="1,1/2")

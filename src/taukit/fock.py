@@ -18,14 +18,12 @@ for symbolic times.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
-from .partitions import Partition, _parts_of_weight, partitions_of
-from .symfun import PolySeries, _key
+from .partitions import Partition, _parts_of_weight
+from .symfun import PolySeries, _key, _kept_strips
 from .weights import ContentFunction, _pair_sum
-
-# z_mu^-1 coefficients for expressing h_k in power sums are rebuilt on the
-# fly; they are tiny for the weights used here.
 
 _set = object.__setattr__
 
@@ -283,16 +281,6 @@ class FockOperator:
 # -- polynomial families ----------------------------------------------------
 
 
-def _zmu_inverse(mu: Partition) -> Fraction:
-    """1/z_mu with z_mu = prod i^{m_i} m_i!."""
-    from math import factorial
-
-    z = 1
-    for part, mult in mu.multiplicities().items():
-        z *= part**mult * factorial(mult)
-    return Fraction(1, z)
-
-
 def _family_power(family: str, m: int, r: Optional[ContentFunction]) -> FockOperator:
     """The power-sum slot p_m of the operator family."""
     if family == "H":
@@ -306,53 +294,31 @@ def _family_power(family: str, m: int, r: Optional[ContentFunction]) -> FockOper
     raise ValueError(f"unknown family {family!r}")
 
 
-def h_of_operators(k: int, ops: dict[int, FockOperator], v: FockVector) -> FockVector:
-    """h_k evaluated on an operator family, applied to v:
-    h_k = sum_{|mu|=k} z_mu^{-1} p_mu with p_m = ops[m]."""
-    if k == 0:
-        return v
-    out = FockVector({}, v.cutoff)
-    for mu in partitions_of(k):
-        w = v
-        for part in mu.parts:
-            w = ops[part].apply(w)
-            if w.is_zero():
-                break
-        if not w.is_zero():
-            out = out + w.scaled(_zmu_inverse(mu))
-    return out
-
-
 def schur_of_operators(
     lam: Partition, family: str, v: FockVector, r: Optional[ContentFunction] = None
 ) -> FockVector:
-    """s_lambda of a commuting operator family applied to v (Jacobi-Trudi).
+    """s_lambda of a commuting operator family applied to v, by the border-strip
+    recursion of ``symfun._schur_numerator`` on bead masks:
 
-    The determinant is expanded over permutations; family components commute
-    so the ordering inside each product is immaterial.
+        |nu| s_nu = sum_m p_m sum_{m-strips S of nu} (-1)^ht(S) s_{nu-S},
+
+    with p_m the family's power-sum slot.  Each s_nu v is kept for the call,
+    and p_m acts once on the signed sum of the s_{nu-S} v.
     """
-    from itertools import combinations, permutations
+    memo = {0: v}
 
-    n = lam.length
-    if n == 0:
-        return v
-    # one operator per power sum p_m, m <= lambda_1 + n - 1, so that its
-    # r-window memo serves every vector it is applied to
-    ops = {m: _family_power(family, m, r) for m in range(1, lam.part(1) + n)}
-    out = FockVector({}, v.cutoff)
-    for perm in permutations(range(n)):
-        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
-        ks = [lam.part(i + 1) - (i + 1) + (perm[i] + 1) for i in range(n)]
-        if any(k < 0 for k in ks):
-            continue
-        w = v
-        for k in ks:
-            w = h_of_operators(k, ops, w)
-            if w.is_zero():
-                break
-        if not w.is_zero():
-            out = out + w.scaled(Fraction(sign))
-    return out
+    def of(nu: int, d: int) -> FockVector:
+        if nu not in memo:
+            out = FockVector({}, v.cutoff)
+            for m in range(1, d + 1):
+                plus, minus = _kept_strips(nu, m)
+                if plus or minus:
+                    signed = [of(c, d - m) for c in plus] + [of(c, d - m).scaled(-1) for c in minus]
+                    out = out + _family_power(family, m, r).apply(reduce(FockVector.__add__, signed))
+            memo[nu] = out.scaled(Fraction(1, d))
+        return memo[nu]
+
+    return of(_key(lam.parts), lam.weight)
 
 
 def exp_action(
@@ -540,13 +506,11 @@ def lemma1_check(i_list: Sequence[int], j_list: Sequence[int]) -> dict:
     window = sum(i_list) + sum(j_list) + s + k + 2
     ring = PolyRing.times_ring(D, cap=D)
     ts = Times.symbolic(ring, D)
+    # H(-m) is the transpose of H(m), so pairing e^{sum t_m H(-m)}|s-k> with
+    # the mode state reads the vacuum amplitude of e^{sum t_m H(m)} on it
     v = state_from_modes(i_list, j_list, window)
-    charge = s - k
-    vac = FockVector.vacuum(charge, window)
-    Z = exp_action(
-        [(ts.get(m), FockOperator.H(-m)) for m in range(1, D + 1)], vac
-    )
-    got = pair(Z, v)
+    v = exp_action([(ts.get(m), FockOperator.H(m)) for m in range(1, D + 1)], v)
+    got = v.coeff(Partition(), s - k)
     got = got if isinstance(got, PolySeries) else ring.const(got)
     expect = schur_expansion(ring, {lam: lemma1_sign(i_list, j_list)}, 1)
     return {

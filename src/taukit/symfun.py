@@ -26,7 +26,7 @@ times are rational.  Schur series in formal times, sum c_lambda s_lambda(t)
 and sum c_lambda s_lambda(t) s_lambda(t*), are expanded by ``schur_expansion``
 from the integer character tables ``characters(d)``, built by the same strip
 removal: [t^e] s_lambda = chi^lambda_mu / prod_m e_m!, one block per degree.
-Eigenvalue specializations use the bialternant ratio with a Miwa-map fallback.
+Eigenvalue specializations are the engine at the Miwa times of the eigenvalues.
 """
 
 from __future__ import annotations
@@ -724,28 +724,12 @@ def skew_schur(shape, t: Times) -> object:
 
 
 def schur_from_eigenvalues(lam: Partition, xs: Sequence) -> Fraction:
-    """s_lambda(x_1..x_n) as the bialternant ratio of determinants.
-
-    Falls back to the Miwa route when eigenvalues coincide.  Zero when the
-    partition is longer than the number of variables.
-    """
+    """s_lambda(x_1..x_n): the engine at the Miwa times m t_m = sum_i x_i^m;
+    zero when the partition is longer than the number of variables."""
     xs = [_as_fraction(x) for x in xs]
-    n = len(xs)
-    if lam.length > n:
+    if lam.length > len(xs):
         return Fraction(0)
-    if lam.length == 0 and n == 0:
-        return Fraction(1)
-    if len(set(xs)) < n:
-        # degenerate: fall back to the Miwa image
-        return schur(lam, miwa(xs, max(lam.weight, 1)))
-    num_rows = [
-        [x ** (lam.part(j) + n - j) for j in range(1, n + 1)] for x in xs
-    ]
-    den = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            den *= xs[i] - xs[j]
-    return _det(num_rows) / den
+    return schur(lam, miwa(xs, max(lam.weight, 1)))
 
 
 def standard_product(f: PolySeries, g: PolySeries) -> Fraction:

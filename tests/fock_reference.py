@@ -1,12 +1,16 @@
 """Reference Fock moves for the tests: states as explicit lists of occupied
 Maya sites, rebuilt into a validated partition after every move.  They share
 no code with the bead-mask moves of ``taukit.fock``; results are keyed by
-``FockState(partition, charge)`` so they compare with the library's dicts."""
+``FockState(partition, charge)`` so they compare with the library's dicts.
+Schur functions of the operator families are Jacobi-Trudi determinants over
+these moves, independent of the library's border-strip recursion."""
 
 from fractions import Fraction as F
+from itertools import combinations, permutations
+from math import factorial, prod
 
-from taukit.fock import FockState, _is_zero
-from taukit.partitions import Partition
+from taukit.fock import FockState, FockVector, _family_power, _is_zero
+from taukit.partitions import Partition, partitions_of
 
 
 def maya(lam, charge, floor):
@@ -96,3 +100,49 @@ def psi_apply(v, site, create):
         else:
             _add(out, ns, c * sign)
     return out, truncated
+
+
+def _applied(op, w):
+    """The one-particle operator op on w by ``apply``, as a FockVector."""
+    amps, truncated = apply(op, w)
+    return FockVector(amps, w.cutoff, truncated)
+
+
+def _sum(pieces, cutoff):
+    """The sum of the (coefficient, vector) pairs, truncated if any of them is."""
+    out = {}
+    for c, w in pieces:
+        for st, a in w.amps.items():
+            _add(out, st, a * c)
+    return FockVector(out, cutoff, any(w.truncated for _, w in pieces))
+
+
+def h_of_operators(k, family, r, v):
+    """h_k of the family on v: sum_{|mu|=k} p_mu / z_mu, z_mu = prod_i i^(m_i) m_i!
+    (Macdonald I.2), each p_m moved by ``apply``."""
+    if k == 0:
+        return v
+    pieces = []
+    for mu in partitions_of(k):
+        w = v
+        for part in mu.parts:
+            w = _applied(_family_power(family, part, r), w)
+        pieces.append((F(1, prod(i**m * factorial(m) for i, m in mu.multiplicities().items())), w))
+    return _sum(pieces, v.cutoff)
+
+
+def schur_of_operators(lam, family, v, r=None):
+    """s_lambda of the family on v by Jacobi-Trudi, det(h_{lambda_i - i + j})
+    expanded over all permutations (the family's members commute)."""
+    n = lam.length
+    if n == 0:
+        return v
+    pieces = []
+    for perm in permutations(range(n)):
+        ks = [lam.part(i + 1) - (i + 1) + (perm[i] + 1) for i in range(n)]
+        if min(ks) >= 0:
+            w = v
+            for k in ks:
+                w = h_of_operators(k, family, r, w)
+            pieces.append(((-1) ** sum(a > b for a, b in combinations(perm, 2)), w))
+    return _sum(pieces, v.cutoff)

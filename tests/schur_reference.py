@@ -1,9 +1,12 @@
-"""Reference Schur functions for the tests: Newton's recurrences for h and e
-and the Jacobi-Trudi determinants (Macdonald, Symmetric Functions, I.2, I.3,
-I.5).  They share no code with the border-strip engine of ``taukit.symfun``
-beyond the generic determinant ``_det``."""
+"""Reference Schur functions for the tests: Newton's recurrences for h and e,
+the Jacobi-Trudi determinants and the bialternant at eigenvalues (Macdonald,
+Symmetric Functions, I.2, I.3, I.5).  They share no code with the
+border-strip engine of ``taukit.symfun`` beyond the generic determinant
+``_det``."""
 
 from fractions import Fraction as F
+from itertools import combinations
+from math import prod
 
 from taukit.partitions import Partition
 from taukit.symfun import _det
@@ -39,3 +42,13 @@ def jacobi_trudi(t, lam, mu=Partition()):
         return jacobi_trudi_determinant(newton_lists(t, conj.part(1) + conj.length)[1], conj, mu)
     n = max(lam.length, mu.length, 1)
     return jacobi_trudi_determinant(newton_lists(t, lam.part(1) + n)[0], lam, mu)
+
+
+def bialternant(lam, xs):
+    """s_lambda(x_1..x_n) = det(x_i^(lambda_j + n - j)) / prod_{i<j} (x_i - x_j)
+    at distinct x; zero when lambda is longer than the alphabet."""
+    n = len(xs)
+    if lam.length > n:
+        return F(0)
+    num = _det([[x ** (lam.part(j) + n - j) for j in range(1, n + 1)] for x in xs])
+    return num / prod((xs[i] - xs[j] for i, j in combinations(range(n), 2)), start=F(1))

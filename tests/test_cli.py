@@ -309,6 +309,18 @@ BAD_INPUTS = [
     # a negative length cap
     ("--n", ["model", "unitary", "--n=-2", "--deg", "2"]),
     ("--n", ["model", "gen43", "--kind", "complex", "--a", "1", "--n=-1", "--deg", "2"]),
+    # no eigenvalues for the det check; hirota and symmetry take any charge
+    ("--n", ["verify", "det", "--n=-5"]),
+    ("--n", ["verify", "all", "--n=-5"]),
+    # matrix sizes and orders below one
+    ("--n", ["oracle", "haar", "--n", "0"]),
+    ("--n", ["oracle", "ginibre", "--n", "0"]),
+    ("--n", ["oracle", "unitary-mc", "--n", "0"]),
+    ("--order", ["model", "quartic", "--order", "-1"]),
+    # the default --u has h_1(u) = 0
+    ("--u", ["model", "nmm", "--deg", "3"]),
+    # n! past the float range, rejected before the quadrature runs
+    ("--moment", ["oracle", "mu", "--contour", "imag", "--moment", "200"]),
 ]
 
 
@@ -383,9 +395,16 @@ def test_oracle_mu_past_its_accuracy_range_exits_three(capsys, argv, code):
         assert json.loads(out)["rel_error"] < 1e-5
 
 
+def test_oracle_mu_nan_estimate_exits_three(capsys, monkeypatch):
+    # at --moment 170 the imaginary-axis value and its estimate come out nan
+    monkeypatch.setattr(cli.oracle_mod, "_real_imaginary_limit", lambda n, m, eps: (complex("nan"), float("nan")))
+    assert main(["oracle", "mu", "--contour", "imag", "--moment", "170"]) == 3
+    assert "error: --moment 170: " in capsys.readouterr().err
+
+
 def test_oracle_haar_bad_size_exits_two(capsys):
     assert main(["oracle", "haar", "--n", "-1"]) == 2
-    assert "n=-1" in capsys.readouterr().err
+    assert "argument --n: invalid value '-1' (must be >= 1)" in capsys.readouterr().err
 
 
 # sha256 of stdout, recorded before the options were converted by argparse

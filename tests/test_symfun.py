@@ -28,7 +28,7 @@ from taukit.symfun import (
 )
 from taukit.weights import hook_product
 
-from schur_reference import jacobi_trudi, jacobi_trudi_determinant, newton_lists
+from schur_reference import bialternant, jacobi_trudi, jacobi_trudi_determinant, newton_lists
 
 
 def sym_ring(K, cap=None):
@@ -97,8 +97,11 @@ def test_schur_from_eigenvalues():
             assert lhs == rhs
     # longer than the alphabet: zero
     assert schur_from_eigenvalues(Partition([1, 1, 1]), [F(1), F(2)]) == 0
-    # degenerate points fall back to the Miwa route
+    # coincident eigenvalues need no special case
     assert schur_from_eigenvalues(Partition([2]), [F(1), F(1)]) == 3
+    xs = [F(1, 2), F(2), F(-1, 3)]
+    for lam in enumerate_partitions(6):
+        assert schur_from_eigenvalues(lam, xs) == bialternant(lam, xs), lam
 
 
 def test_jacobi_trudi_vs_bialternant():
@@ -107,7 +110,7 @@ def test_jacobi_trudi_vs_bialternant():
         xs = pts[:n]
         for lam in enumerate_partitions(8):
             a = schur(lam, miwa(xs, max(lam.weight, 1)))
-            b = schur_from_eigenvalues(lam, xs)
+            b = bialternant(lam, xs)
             assert a == b, (lam, n)
 
 
@@ -324,7 +327,7 @@ def test_h_and_e_lists_equal_newton(values, kind, D):
 @given(partitions_to_8, st.lists(rationals, min_size=1, max_size=4, unique=True))
 @settings(max_examples=60, deadline=None)
 def test_engine_at_miwa_times_equals_bialternant(lam, xs):
-    assert schur(lam, miwa(xs, max(lam.weight, 1))) == schur_from_eigenvalues(lam, xs), (lam, xs)
+    assert schur(lam, miwa(xs, max(lam.weight, 1))) == bialternant(lam, xs), (lam, xs)
 
 
 small_ring = PolyRing(["a", "b", "c"], [1, 2, 1], 5)
