@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import itertools
 import json
@@ -27,8 +26,6 @@ import math
 import sys
 import time
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .partitions import Partition, enumerate_partitions
@@ -160,6 +157,8 @@ def _emit(args, payload: dict) -> None:
         out = json.dumps(payload, indent=2, default=str) + "\n"
     sys.stdout.write(out)
     if args.manifest:
+        import hashlib
+
         canon = json.dumps(_strip_volatile(payload), sort_keys=True, default=str)
         digest = hashlib.sha256(canon.encode()).hexdigest()
         manifest = {
@@ -326,6 +325,8 @@ def cmd_fock(args) -> int:
 def cmd_oracle(args) -> int:
     which = args.which
     if which == "haar":
+        import numpy as np
+
         gen = oracle_mod.RngStream(args.seed, 0).gen
         U = oracle_mod.sample_haar_unitary(args.n, gen)
         dev = float(np.linalg.norm(U @ U.conj().T - np.eye(args.n)))
@@ -385,10 +386,10 @@ def cmd_oracle(args) -> int:
             target = float(oracle_mod.halfline_exact(n, args.A, args.B))
             report = {"n": n, "value": val, "target": target}
         scale = max(abs(target), 1.0)
-        if not est / scale <= args.tol:  # a nan estimate is past the range too
+        if not (rel := est / scale) <= args.tol:  # a nan estimate is past the range too
             raise oracle_mod.DivergenceError(
                 f"--moment {n}: the {args.contour} quadrature's relative error estimate "
-                f"{est / scale:.2g} exceeds --tol {args.tol:g}"
+                f"{oracle_mod._two_digits(rel)} exceeds --tol {args.tol:g}"
             )
         err = abs(val - target) / scale
         _emit(args, {"contour": args.contour, **report, "rel_error": err})

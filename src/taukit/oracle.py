@@ -21,11 +21,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .partitions import Partition
 from .symfun import Poly1, _as_fraction, _num_den, schur_from_eigenvalues
@@ -39,6 +36,8 @@ class RngStream:
     """Deterministic generator: (seed, stream id) fixes the sample sequence."""
 
     def __init__(self, seed: int, stream: int = 0):
+        import numpy as np
+
         self.seed = int(seed)
         self.stream = int(stream)
         self.gen = np.random.Generator(
@@ -46,8 +45,7 @@ class RngStream:
         )
 
 
-@dataclass
-class MCEstimate:
+class MCEstimate(NamedTuple):
     mean: float
     std_error: float
     samples: int
@@ -74,6 +72,8 @@ def sample_haar_unitary(n: int, gen: np.random.Generator) -> np.ndarray:
 def sample_haar_unitary_batch(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitaries via QR of complex Ginibre matrices with the
     phases of the R diagonal normalized."""
+    import numpy as np
+
     q, r = np.linalg.qr(sample_ginibre_batch(n, count, gen))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
@@ -82,6 +82,8 @@ def sample_haar_unitary_batch(n: int, count: int, gen: np.random.Generator) -> n
 def sample_ginibre_batch(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Complex Gaussian matrices with density exp(-Tr Z Z^+) pi^{-n^2}
     (unit-variance complex entries)."""
+    import numpy as np
+
     if n < 1:
         raise ValueError(f"matrix size n must be >= 1, got n={n}")
     return (gen.standard_normal((count, n, n)) + 1j * gen.standard_normal((count, n, n))) / np.sqrt(2)
@@ -107,6 +109,8 @@ def _pairwise_sum(terms: list) -> np.ndarray:
 def schur_of_matrix(lam: Partition, mats: np.ndarray) -> np.ndarray:
     """s_lambda of a (batch of) matrix argument(s) via trace power sums and
     the Jacobi-Trudi determinant; cheap for the small weights used here."""
+    import numpy as np
+
     d = lam.weight
     if d == 0:
         return np.ones(mats.shape[0], dtype=complex)
@@ -133,6 +137,8 @@ def schur_of_matrix(lam: Partition, mats: np.ndarray) -> np.ndarray:
 
 def _blocked_mean(values_fn, samples: int, seed: int) -> MCEstimate:
     """Mean/σ accumulated over fixed blocks with one RNG stream per block."""
+    import numpy as np
+
     total = 0.0
     total2 = 0.0
     for block_id, start in enumerate(range(0, samples, BLOCK)):
@@ -173,6 +179,8 @@ def _mc_schur_identity(
         raise ValueError("need l(lambda) <= n")
     if mu is not None and mu.length > n:
         raise ValueError("need l(mu) <= n")
+    import numpy as np
+
     # diag(A) X diag(B) by scaling rows and columns, without matmuls
     a = np.array([float(x) for x in A], dtype=complex)[:, None]
     b = np.array([float(x) for x in B], dtype=complex)[None, :]
@@ -309,6 +317,7 @@ def quartic_wick_order(k: int) -> Poly1:
 
 
 DPS = 20  # working digits of every moment quadrature
+DEGREE = 7  # tanh-sinh levels of every moment quadrature, mpmath's own choice at DPS digits
 MOMENT_RTOL = 1e-6  # relative error estimate past which a moment raises
 HALFLINE_X_MAX = 200  # log10 of the largest x at which the half-line quadrature evaluates pFs
 
@@ -319,18 +328,36 @@ class DivergenceError(ArithmeticError):
 
 def _quad(f: Callable, points: Sequence) -> tuple:
     """(value, error estimate) of int f over the segments between points by
-    tanh-sinh quadrature (Takahasi-Mori 1974), f running at DPS digits.  The
-    estimate is absolute and at most 1; callers map singular ends and heavy tails away."""
+    tanh-sinh quadrature (Takahasi-Mori 1974), f running at DPS digits.
+
+    mpmath's estimate extrapolates its last three levels, but it is absolute
+    and capped at 1, so alone it cannot tell a failed quadrature of a large
+    integral from a converged one.  A quadrature that reaches its last level
+    without converging also reports the difference of its last two levels
+    where that is larger.  Callers map singular ends and heavy tails away."""
     import mpmath  # on first use, so that `import taukit` does not pay for it
 
     with mpmath.workdps(DPS):
-        return mpmath.quad(f, points, error=True)
+        val, err = mpmath.quad(f, points, error=True, maxdegree=DEGREE)
+        if err > mpmath.eps:  # mpmath stops at the first level whose estimate is below eps/8
+            err = max(err, abs(val - mpmath.quad(f, points, maxdegree=DEGREE - 1)))
+        return val, err
+
+
+def _two_digits(x) -> str:
+    """x as "%.2g" prints it, and an mpf past the float range as mpmath does."""
+    text = f"{float(x):.2g}"
+    if text.endswith("inf") and not isinstance(x, float):
+        import mpmath
+
+        text = mpmath.nstr(x, 2)
+    return text
 
 
 def _within(value, error):
     """value, unless its error estimate exceeds MOMENT_RTOL of max(1, |value|)."""
     if error > MOMENT_RTOL * max(1.0, abs(value)):
-        raise DivergenceError(f"quadrature error estimate {error:.2g}")
+        raise DivergenceError(f"quadrature error estimate {_two_digits(error)}")
     return value
 
 
@@ -386,6 +413,8 @@ def moment_real_imaginary_limit(n: int, m: int, eps: float = 1e-4) -> complex:
 def moment_circle(n: int, m: int, grid: int = 256) -> complex:
     """oint oint x^n y^m e^{1/(x y)} dx dy/(x y) on the unit circles,
     spectrally accurate trapezoid; equals -4 pi^2 delta_{nm} / n!."""
+    import numpy as np
+
     phi = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
     psi = phi[:, None]
     x = np.exp(1j * phi)[None, :]
@@ -411,7 +440,7 @@ def moment_unit_interval(n: int, a: Fraction) -> float:
     return _within(*_unit_interval(n, a))
 
 
-def _halfline_pfs(n: int, a: Sequence, b: Sequence) -> tuple[float, float]:
+def _halfline_pfs(n: int, a: Sequence, b: Sequence) -> tuple:
     """(value, error estimate): x = t^(-1/delta) - 1 with delta = min a_i - n - 1
     (1 if p = 0) maps the x^(n - min a_i) tail onto an integrand bounded at
     t = 0.  The quadrature stops at the t = tau of x = 10^HALFLINE_X_MAX, past
@@ -432,7 +461,7 @@ def _halfline_pfs(n: int, a: Sequence, b: Sequence) -> tuple[float, float]:
         tau = mpmath.mpf(10) ** (-HALFLINE_X_MAX * delta)
         cut = tau * abs(f(tau))
     val, err = _quad(f, [tau, 1])
-    return float(val), float(err + cut)
+    return float(val), err + cut  # an mpf, since the cut can pass the float range
 
 
 def moment_halfline_pfs(n: int, a: Sequence, b: Sequence) -> float:
@@ -446,24 +475,6 @@ def halfline_exact(n: int, a: Sequence, b: Sequence) -> Fraction:
     num = math.prod((pochhammer(1 - _as_fraction(x), n + 1) for x in b), start=Fraction(math.factorial(n)))
     den = math.prod(pochhammer(1 - _as_fraction(x), n + 1) for x in a)
     return (-1) ** ((n + 1) * (len(a) - len(b))) * num / den
-
-
-@dataclass
-class MomentMeasure:
-    """The one-variable measure series mu_r(x) = sum_m x^m / (r(-1)...r(-m)),
-    term ratio 1/r(-m); ``closed_form`` optionally tags a known resummation
-    ("exp", "pfs", ...)."""
-
-    r: ContentFunction
-    coeffs: list
-    closed_form: Optional[str] = None
-
-    @classmethod
-    def from_content(cls, r: ContentFunction, D: int, closed_form: Optional[str] = None):
-        return cls(r, mu_series_coeffs(r, D), closed_form)
-
-    def annihilation_residual(self) -> list:
-        return mu_annihilation_residual(self.coeffs, self.r)
 
 
 def mu_series_coeffs(r: ContentFunction, D: int) -> list[Fraction]:

@@ -395,6 +395,24 @@ def test_oracle_mu_past_its_accuracy_range_exits_three(capsys, argv, code):
         assert json.loads(out)["rel_error"] < 1e-5
 
 
+def test_failed_quadrature_of_a_large_integral_exits_three(capsys):
+    # the 0F1(; 13; -x) moment 5 is 5! (-12)_6 = 8.0e7 and the quadrature
+    # misses it by 13%; mpmath's own estimate, absolute and capped at 1, is
+    # 1.3e-8 of it, so alone it passed --tol and the miss read as exit 1
+    assert main(["oracle", "mu", "--contour", "halfline", "--moment", "5", "--A=", "--B=13"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --moment 5: ") and "error estimate" in err, err
+
+
+def test_oracle_mu_halfline_estimate_past_the_float_range_is_finite(capsys):
+    # tau |f(tau)| of the oscillating 1F2(4; 3/2, 5/2; -x) is about 10^448
+    assert main(["oracle", "mu", "--contour", "halfline", "--moment", "1", "--A=4", "--B=3/2,5/2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --moment 1: the halfline quadrature's relative error estimate "), err
+    exponent = re.search(r"estimate \d\.\de\+(\d+) exceeds --tol 1e-06\n$", err)
+    assert exponent and int(exponent.group(1)) > 308, err
+
+
 def test_oracle_mu_nan_estimate_exits_three(capsys, monkeypatch):
     # at --moment 170 the imaginary-axis value and its estimate come out nan
     monkeypatch.setattr(cli.oracle_mod, "_real_imaginary_limit", lambda n, m, eps: (complex("nan"), float("nan")))
@@ -527,3 +545,56 @@ def test_commands_in_one_process_match_fresh_processes(capsys, monkeypatch):
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(code)
     assert codes == [0, 2, 0, 2, 0, 2, 0, 2, 0]
+
+
+# every command that computes exactly, or by mpmath quadrature; only the
+# Monte Carlo commands, `--contour circle` and `--profile full` need numpy
+EXACT_COMMANDS = [
+    ["tau", "--r", "rational:a=1/2;b=3", "--n", "1", "--t", "eigs:1/2,3", "--tstar", "ta:2", "--deg", "3"],
+    ["tau", "--r", "linear|shift:1", "--n", "0", "--t", "inf", "--tstar", "qgeo:1/3", "--deg", "3"],
+    ["tau", "--r", "one", "--n", "0", "--t", "t:3", "--tstar", "ta:1/2", "--deg", "3"],
+    ["hyper", "pfs", "--a", "1/2,1/3", "--b", "5/4", "--x", "1", "--deg", "6"],
+    ["hyper", "qphi", "--a", "1,2", "--b", "3", "--q", "1/3", "--x", "1", "--deg", "4"],
+    ["hyper", "two", "--a", "1/2", "--x", "1/2,1/5", "--y", "1/3,1/7", "--deg", "3"],
+    ["verify", "all", "--deg", "6"],
+    *(["fock", "verify", "--suite", suite] for suite in ("heisenberg", "lemma1", "prop3", "trace")),
+    *(["model", which] for which in ("two", "gw", "unitary", "loop")),
+    ["model", "quartic", "--check-oracle"],
+    ["oracle", "wick", "--powers", "4,2"],
+    *(["oracle", "mu", "--contour", contour] for contour in ("unit", "imag")),
+    ["oracle", "mu", "--contour", "halfline", "--A=4", "--B=3/2"],
+]
+
+
+def test_exact_commands_run_without_numpy(capsys):
+    # a numpy of None in sys.modules makes every import of it raise, so each
+    # command runs in that interpreter only if nothing on its path imports
+    # numpy; `oracle haar` shows that the block holds
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from taukit.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    print(json.dumps([code, out.getvalue()]))\n"
+        "try:\n"
+        "    main(['oracle', 'haar'])\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(json.dumps(str(exc)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(taukit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(EXACT_COMMANDS)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *runs, haar = map(json.loads, proc.stdout.splitlines())
+    assert "numpy" in haar
+    assert len(runs) == len(EXACT_COMMANDS)
+    for argv, (code, out) in zip(EXACT_COMMANDS, runs):
+        here = run_cli(capsys, *argv)
+        assert code == 0 and (code, _no_seconds(out)) == (here[0], _no_seconds(here[1])), argv
+
+
+def _no_seconds(out: str) -> str:
+    return re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', out)

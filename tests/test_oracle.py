@@ -3,8 +3,10 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction as F
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -17,9 +19,10 @@ from taukit.oracle import (
     BLOCK,
     DivergenceError,
     MCEstimate,
-    MomentMeasure,
     RngStream,
     _blocked_mean,
+    _quad,
+    _within,
     halfline_exact,
     mc_schur_ginibre_identity,
     mc_schur_unitary_identity,
@@ -358,6 +361,24 @@ def test_moment_halfline():
         assert abs(v - target) / abs(target) < 1e-6
 
 
+@dataclass
+class MomentMeasure:
+    """The one-variable measure series mu_r(x) = sum_m x^m / (r(-1)...r(-m)),
+    term ratio 1/r(-m); ``closed_form`` optionally tags a known resummation
+    ("exp", "pfs", ...)."""
+
+    r: object
+    coeffs: list
+    closed_form: Optional[str] = None
+
+    @classmethod
+    def from_content(cls, r, D: int, closed_form: Optional[str] = None):
+        return cls(r, mu_series_coeffs(r, D), closed_form)
+
+    def annihilation_residual(self) -> list:
+        return mu_annihilation_residual(self.coeffs, self.r)
+
+
 def test_mu_series_and_annihilation():
     neg_lin = LinearContent().scaled(-1)  # r(k) = -k: r(-m) = m, mu = e^x
     mm = MomentMeasure.from_content(neg_lin, 12, closed_form="exp")
@@ -486,3 +507,18 @@ def test_moment_past_its_accuracy_range_raises_divergence():
     # its algebraic part, yet the quadrature cannot converge
     with pytest.raises(DivergenceError, match="error estimate"):
         moment_halfline_pfs(1, [F(4)], [F(3, 2), F(5, 2)])
+
+
+def test_quad_reports_a_failed_quadrature_of_a_large_integral():
+    # int_0^1 10^30 sin(2000 x) dx = 6.8e26: tanh-sinh misses it by 1.1e28,
+    # while mpmath's own estimate, absolute and capped at 1, reads 1.0
+    import mpmath
+
+    val, err = _quad(lambda x: 10**30 * mpmath.sin(2000 * x), [0, 1])
+    exact = 10**30 * (1 - math.cos(2000)) / 2000
+    assert err >= abs(val - exact) > 1e27
+    with pytest.raises(DivergenceError):
+        _within(float(val), err)
+    # a large integral that converges keeps an estimate far below its size
+    val, err = _quad(lambda x: 10**30 * mpmath.exp(-x), [0, 1])
+    assert _within(float(val), err) == pytest.approx(10**30 * (1 - math.exp(-1)), rel=1e-15)
