@@ -383,6 +383,8 @@ def cmd_oracle(args) -> int:
                 val, est = oracle_mod._halfline_pfs(n, args.A, args.B)
             except ValueError as exc:
                 raise _bad_value("--A", args.A, exc) from None
+            except oracle_mod.DivergenceError as exc:
+                raise oracle_mod.DivergenceError(f"--moment {n}: {exc}") from None
             target = float(oracle_mod.halfline_exact(n, args.A, args.B))
             report = {"n": n, "value": val, "target": target}
         scale = max(abs(target), 1.0)

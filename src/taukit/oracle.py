@@ -444,7 +444,9 @@ def _halfline_pfs(n: int, a: Sequence, b: Sequence) -> tuple:
     """(value, error estimate): x = t^(-1/delta) - 1 with delta = min a_i - n - 1
     (1 if p = 0) maps the x^(n - min a_i) tail onto an integrand bounded at
     t = 0.  The quadrature stops at the t = tau of x = 10^HALFLINE_X_MAX, past
-    which pFs slows down, and tau |f(tau)| bounds the part it leaves out."""
+    which pFs slows down, and tau |f(tau)| bounds the part it leaves out.
+    Where mpmath's pFs series itself does not converge, the moment is past
+    the oracle's range."""
     if len(a) > len(b) or any(ai <= n + 1 for ai in a):
         raise ValueError(f"moment {n} lies outside the Mellin strip: it needs p <= s and every a_i > {n + 1}")
     import mpmath
@@ -457,10 +459,13 @@ def _halfline_pfs(n: int, a: Sequence, b: Sequence) -> tuple:
         s = t ** (-1 / delta)
         return (s - 1) ** n * mpmath.hyper(ap, bp, 1 - s) * s / (delta * t)
 
-    with mpmath.workdps(DPS):
-        tau = mpmath.mpf(10) ** (-HALFLINE_X_MAX * delta)
-        cut = tau * abs(f(tau))
-    val, err = _quad(f, [tau, 1])
+    try:
+        with mpmath.workdps(DPS):
+            tau = mpmath.mpf(10) ** (-HALFLINE_X_MAX * delta)
+            cut = tau * abs(f(tau))
+        val, err = _quad(f, [tau, 1])
+    except mpmath.libmp.NoConvergence:
+        raise DivergenceError("mpmath's pFs series converges too slowly on the half line") from None
     return float(val), err + cut  # an mpf, since the cut can pass the float range
 
 

@@ -210,18 +210,42 @@ class SkewShape:
         return f"SkewShape({self.outer}/{self.inner})"
 
 
-def _parts_of_weight(n: int, max_part: int, max_len: int) -> Iterator[tuple[int, ...]]:
+# The part tuples of a weight depend on nothing but (n, max_part, max_len),
+# so one table serves every walk: the tau and det-rep walks, the Fock trace,
+# the loop scalar product and the enumerations below.  An entry's tuples
+# share their tails with the entries of n - first they are built from.  The
+# table stops growing once it holds _PARTS_TABLE_MAX part tuples (1.5 MB
+# at weight 16, 1.8 MB at weight 20); an entry it cannot keep is built on
+# each request.
+_PARTS_TABLE_MAX = 1 << 14
+_PARTS_TABLE: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
+_parts_table_size = 0
+
+
+def _parts_of_weight(n: int, max_part: int, max_len: int) -> tuple[tuple[int, ...], ...]:
     """Partitions of exactly n, first part <= max_part, length <= max_len,
-    descending lexicographic order.  A first part below n / max_len leaves
-    too much for the other rows, so it is not tried."""
-    if n == 0:
-        yield ()
-        return
-    if max_len == 0:
-        return
-    for first in range(min(n, max_part), (n - 1) // max_len if max_len > 0 else 0, -1):
-        for rest in _parts_of_weight(n - first, first, max_len - 1):
-            yield (first,) + rest
+    descending lexicographic order, as part tuples read from the table.  A
+    first part below n / max_len leaves too much for the other rows, so it
+    is not tried."""
+    global _parts_table_size
+    key = (n, min(n, max_part), min(n, max_len))
+    out = _PARTS_TABLE.get(key)
+    if out is None:
+        n, max_part, max_len = key
+        if n == 0:
+            out = ((),)
+        elif max_len == 0:
+            out = ()
+        else:
+            out = tuple(
+                (first,) + rest
+                for first in range(max_part, (n - 1) // max_len if max_len > 0 else 0, -1)
+                for rest in _parts_of_weight(n - first, first, max_len - 1)
+            )
+        if _parts_table_size + len(out) <= _PARTS_TABLE_MAX:
+            _PARTS_TABLE[key] = out
+            _parts_table_size += len(out)
+    return out
 
 
 def enumerate_partitions(

@@ -496,6 +496,12 @@ class Times:
     Entries may be Fractions (numeric specializations) or PolySeries
     (symbolic variables); t_m for m > K is exactly zero.  Every Schur value
     the border-strip engine computes on it is memoised on the object.
+
+    The engine's step weights are m t_m c^m for one scale c.  With rational
+    times c is built greedily: for m = 1..K it is multiplied by whatever
+    denominator m t_m c^m still has, so every weight is an integer and c
+    divides the lcm of the denominators of the t_m (the Miwa times of
+    1/2, 2/3, 3/4, 4/5, 1/7 get c = 420, t(3/2) gets c = 2).  Otherwise c = 1.
     """
 
     __slots__ = ("entries", "K", "_scale", "_steps", "_memo", "_levels")
@@ -505,14 +511,15 @@ class Times:
         self.K = len(self.entries)
         self._memo: dict[int, dict] = {}  # bead mask of the inner shape -> {bead mask: S}
         self._levels: list[tuple] = []  # by degree d: (d! c^d, steps of a shape of size d)
-        # the engine weights m t_m c^m: integers when every time is rational
-        # and c is the lcm of their denominators, else c = 1
-        rational = all(isinstance(x, (int, Fraction)) for x in self.entries)
-        self._scale = lcm(*(x.denominator for x in self.entries)) if rational else 1
-        self._steps = tuple(
-            (m, int(x * m * self._scale**m) if rational else x * m)
-            for m, x in enumerate(self.entries, start=1) if x
-        )
+        times = [(m, x) for m, x in enumerate(self.entries, start=1) if x]
+        c = 1
+        if all(isinstance(x, (int, Fraction)) for x in self.entries):
+            for m, x in times:
+                c *= x.denominator // gcd(m * x.numerator * c**m, x.denominator)
+            self._steps = tuple((m, m * x.numerator * c**m // x.denominator) for m, x in times)
+        else:
+            self._steps = tuple((m, x * m) for m, x in times)
+        self._scale = c
 
     def get(self, m: int):
         """t_m (1-based); zero beyond the cutoff."""
@@ -660,14 +667,15 @@ def _kept_strips(key: int, m: int) -> tuple[tuple, tuple]:
 
 def _schur_numerator(t: Times, key: int, e: int, inner: int = 0) -> tuple[object, int]:
     """(S, e! c^e) with s_{nu/mu}(t) = S / (e! c^e) for the bead masks key of
-    nu and inner of mu, e = |nu| - |mu|, and c the times' common denominator.
+    nu and inner of mu, e = |nu| - |mu|, and c the scale of the times.
 
     e s_{nu/mu} = sum_m m t_m sum_{m-strips S of nu} (-1)^ht(S) s_{(nu-S)/mu},
     as d/dt_m removes m-strips and sum_m m t_m d/dt_m is the weighted degree
     (Macdonald, Symmetric Functions, I.5, I.7); s_{mu/mu} = 1 and every other
     shape of size |mu| gives 0.  The memo on t holds S = e! c^e s, so
     S_nu = sum_m m t_m c^m (e-1)!/(e-m)! sum_S (-1)^ht(S) S_(nu-S) needs no
-    division, and with rational times (c their lcm, else 1) S is an integer.
+    division, and with rational times (c as ``Times`` picks it, else 1) S is
+    an integer.
     """
     levels = t._levels
     while len(levels) <= e:  # a shape of size d takes m-strips with weight m t_m c^m (d-1)!/(d-m)!

@@ -15,7 +15,7 @@ residual, one-variable ODE and q-difference residuals, and the wave
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from typing import Optional, Sequence
 
 from .partitions import Partition, _parts_of_weight
@@ -47,7 +47,16 @@ from .weights import (
 
 
 class Side:
-    """How one argument slot of the tau function is specialized."""
+    """How one argument slot of the tau function is specialized.
+
+    A side whose Schur values are hook-content products has a ``row``:
+    parts -> (num, den), the integer pair of s_lambda / s_parent for lambda
+    = parts and its parent parts[:-1], which the tau walk multiplies into
+    the pair it carries for r_lambda(n).  Every other specialized side goes
+    through the border-strip engine on ``times``.
+    """
+
+    row = None
 
     def times(self, D: int) -> Optional[Times]:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -60,6 +69,22 @@ class Side:
 
     def __repr__(self):
         return self.describe()
+
+
+def _hook_ratio(parts: tuple[int, ...], num: int, den: int) -> tuple[int, int]:
+    """(num, den) times L! H_parent / H_lambda for lambda = parts, its
+    parent parts[:-1] and L = parts[-1]: the product over the parent's rows
+    i <= l of (h_i - L) / h_i, with h_i = lambda_i + l + 1 - i.
+
+    A last row of L cells has hooks L, ..., 1, and the first L cells of each
+    row above gain one in their legs, which multiplies that row's hooks by
+    h_i / (h_i - L), so H_lambda / H_parent = L! prod_i h_i / (h_i - L)
+    (Macdonald, Symmetric Functions, I.3)."""
+    l, L = len(parts) - 1, parts[-1]
+    for i in range(l):
+        h = parts[i] + l - i
+        num, den = num * (h - L), den * h
+    return num, den
 
 
 class Formal(Side):
@@ -89,13 +114,24 @@ class Eigs(Side):
 
 
 class WeightA(Side):
-    """t(a) = (a/1, a/2, a/3, ...)."""
+    """t(a) = (a/1, a/2, a/3, ...); s_lambda becomes (a)_lambda/H_lambda."""
 
     def __init__(self, a):
         self.a = _as_fraction(a)
+        self._rows: dict[tuple[int, int], tuple[int, int]] = {}
 
     def times(self, D):
         return Times.weight_a(self.a, max(D, 1))
+
+    def row(self, parts):
+        """With a = u/v, the last row's contents -l .. L - 1 - l give
+        prod_{j<L} (u + (j - l) v) / v^L, over the hook ratio."""
+        l, L = len(parts) - 1, parts[-1]
+        pair = self._rows.get((l, L))
+        if pair is None:
+            u, v = self.a.numerator, self.a.denominator
+            pair = self._rows[l, L] = prod(u + (j - l) * v for j in range(L)), v**L * factorial(L)
+        return _hook_ratio(parts, *pair)
 
     def describe(self):
         return f"t(a={_num_den(self.a)})"
@@ -106,6 +142,9 @@ class TInf(Side):
 
     def times(self, D):
         return Times.exp_point(max(D, 1))
+
+    def row(self, parts):
+        return _hook_ratio(parts, 1, factorial(parts[-1]))
 
     def describe(self):
         return "t_inf"
@@ -118,9 +157,29 @@ class QGeo(Side):
         self.q = _as_fraction(q)
         if not 0 < abs(self.q) < 1:
             raise ValueError(f"qgeo: q must satisfy 0 < |q| < 1, got q={_num_den(self.q)}")
+        self._one_minus = _OneMinusPowers(self.q)
+        self._rows: dict[tuple[int, int], tuple[int, int]] = {}
 
     def times(self, D):
         return Times.q_geometric(self.q, max(D, 1))
+
+    def row(self, parts):
+        """The hook ratio with each k read as 1 - q^k = (v^k - u^k) / v^k for
+        q = u/v, and q^(l L) for the l L that n(lambda) gains; the powers of v
+        leave v^(L (L + 1) / 2) over prod_{k<=L} (v^k - u^k)."""
+        l, L = len(parts) - 1, parts[-1]
+        one_minus = self._one_minus
+        pair = self._rows.get((l, L))
+        if pair is None:
+            u, v = one_minus.u, one_minus.v
+            pair = self._rows[l, L] = (
+                u ** (l * L) * v ** (L * (L + 1) // 2), prod(one_minus[k][0] for k in range(1, L + 1))
+            )
+        num, den = pair
+        for i in range(l):
+            h = parts[i] + l - i
+            num, den = num * one_minus[h - L][0], den * one_minus[h][0]
+        return num, den
 
     def describe(self):
         return f"qgeo(q={_num_den(self.q)})"
@@ -199,11 +258,13 @@ class TauSeries:
         return {str(lam): _num_den(c) for lam, c in self.items()}
 
 
-def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int, size: Optional[int] = None):
-    """(parts, mask, |lambda|, p, q) with r_lambda(n) = p / q for the
-    partitions lambda of |lambda| <= size (default D) and l(lambda) <= lmax,
-    with zero weights skipped; mask is the bead mask of lambda (symfun's
-    ``_key``).
+def _weighted_partitions(
+    r: ContentFunction, n: int, D: int, lmax: int, size: Optional[int] = None, rows: Sequence = ()
+):
+    """(parts, mask, |lambda|, p, q) with p / q = r_lambda(n) times s_lambda
+    of each side whose ``row`` is in ``rows``, for the partitions lambda of
+    |lambda| <= size (default D) and l(lambda) <= lmax, with zero weights
+    skipped; mask is the bead mask of lambda (symfun's ``_key``).
 
     Scanning away from the charge over the window of |lambda| <= D, a zero
     of r truncates the series (no partition can reach past it), while a
@@ -212,7 +273,9 @@ def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int, size: Op
     without its last row, is already walked: the mask of lambda is the
     parent's shifted by one plus the bit of the last part, and its pair is
     the parent's times the r-window of that row (row l, of k cells, covers
-    the contents n - l + 1 .. n - l + k), never reduced.
+    the contents n - l + 1 .. n - l + k) and each side's row pair, never
+    reduced.  A zero pair stays zero below, as every factor is a product
+    over the cells.
     """
 
     def reach(step: int, limit: int) -> int:
@@ -227,14 +290,14 @@ def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int, size: Op
                 return k
         return limit
 
-    rows = min(lmax, reach(-1, max(lmax, 1)))
+    depth = min(lmax, reach(-1, max(lmax, 1)))
     cols = reach(1, max(D, 1))
     size = D if size is None else size
     walked = {(): (0, 1, 1)}
     if size >= 0:
         yield (), 0, 0, 1, 1
     for e in range(1, size + 1):
-        for parts in _parts_of_weight(e, min(e, cols), min(e, rows)):
+        for parts in _parts_of_weight(e, min(e, cols), min(e, depth)):
             mask, p, q = walked[parts[:-1]]
             last = parts[-1]
             mask = mask << 1 | 1 << last
@@ -248,6 +311,9 @@ def _weighted_partitions(r: ContentFunction, n: int, D: int, lmax: int, size: Op
                     content_product(r, lo + 1, Partition._of((last,)))
                     raise
                 p, q = p * w.numerator, q * w.denominator
+                for row in rows:
+                    f, g = row(parts)
+                    p, q = p * f, q * g
             walked[parts] = mask, p, q
             if p:
                 yield parts, mask, e, p, q
@@ -259,9 +325,11 @@ def tau_series(spec: TauSpec, D: int, length_max: Optional[int] = None) -> TauSe
     Honors the length restriction from eigenvalue sides, an explicit
     ``length_max`` (for integrals whose length cut is not induced by r),
     and the zero-of-r truncation; poles of r inside the reachable content
-    window are errors.  Each coefficient is one Fraction of the product of
-    the integer numerators of r_lambda(n) and of each specialized side, and
-    a Partition is built only for a coefficient that is kept.
+    window are errors.  The t(a), t_inf and q-geometric sides ride on the
+    walk as hook-content row pairs; eigenvalue sides go through the strip
+    engine.  Each coefficient is one Fraction of the product of the integer
+    numerators of r_lambda(n) and of each specialized side, and a Partition
+    is built only for a coefficient that is kept.
     """
     if D < 0:
         raise ValueError("cutoff must be >= 0")
@@ -273,9 +341,11 @@ def tau_series(spec: TauSpec, D: int, length_max: Optional[int] = None) -> TauSe
         cap = side.length_cap()
         if cap is not None:
             lmax = min(lmax, cap)
-    specialized = [t for t in (spec.tside.times(D), spec.uside.times(D)) if t is not None]
+    sides = (spec.tside, spec.uside)
+    rows = [side.row for side in sides if side.row is not None]
+    specialized = [t for t in (side.times(D) for side in sides if side.row is None) if t is not None]
     coeffs: dict[Partition, Fraction] = {}
-    for parts, key, e, p, q in _weighted_partitions(r, n, D, lmax):
+    for parts, key, e, p, q in _weighted_partitions(r, n, D, lmax, rows=rows):
         for times in specialized:
             s, den = _schur_numerator(times, key, e)
             p *= s

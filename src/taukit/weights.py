@@ -42,33 +42,20 @@ class ContentFunction:
         return self._cache[k]
 
     def window(self, lo: int, hi: int) -> Fraction:
-        """prod_{lo < k <= hi} r(k); a pole anywhere in the window raises."""
-        w = self._windows.get((lo, hi))
+        """prod_{lo < k <= hi} r(k); a pole anywhere in the window raises.
+
+        Memoised as window(lo, hi - 1) r(hi), so the windows of one lo are
+        one running product, extended from the longest one already kept."""
+        windows = self._windows
+        w = windows.get((lo, hi))
         if w is None:
-            w = Fraction(1)
-            for k in range(lo + 1, hi + 1):
-                w *= self(k)
-            self._windows[lo, hi] = w
+            k = hi - 1
+            while k > lo and (lo, k) not in windows:
+                k -= 1
+            w = windows[lo, k] if k > lo else Fraction(1)
+            for k in range(max(k, lo) + 1, hi + 1):
+                w = windows[lo, k] = w * self(k)
         return w
-
-    def zeros_on(self, lo: int, hi: int) -> list[int]:
-        out = []
-        for k in range(lo, hi + 1):
-            try:
-                if self(k) == 0:
-                    out.append(k)
-            except ContentPoleError:
-                pass
-        return out
-
-    def poles_on(self, lo: int, hi: int) -> list[int]:
-        out = []
-        for k in range(lo, hi + 1):
-            try:
-                self(k)
-            except ContentPoleError:
-                out.append(k)
-        return out
 
     # wrappers ---------------------------------------------------------
 
@@ -424,14 +411,6 @@ def rational_r_decomposition(r: ContentFunction, n: int, lam: Partition, K: Opti
         "denominators": den,
         "value": value,
     }
-
-
-def weight_table(r: ContentFunction, n: int, D: int) -> dict[Partition, Fraction]:
-    """All weights r_lambda(n) for |lambda| <= D (value 1 at the zero
-    partition), keyed in the canonical enumeration order."""
-    from .partitions import enumerate_partitions
-
-    return {lam: content_product(r, n, lam) for lam in enumerate_partitions(D)}
 
 
 # -- parsing (CLI syntax) -------------------------------------------------

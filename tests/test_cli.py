@@ -404,6 +404,14 @@ def test_failed_quadrature_of_a_large_integral_exits_three(capsys):
     assert out == "" and err.startswith("error: --moment 5: ") and "error estimate" in err, err
 
 
+def test_oracle_mu_halfline_series_that_does_not_converge_exits_three(capsys):
+    # mpmath's 1F2(4; 3/2, 1000; -x) series gives up inside the quadrature;
+    # that is the oracle's range, not a mismatch
+    assert main(["oracle", "mu", "--contour", "halfline", "--moment", "1", "--A=4", "--B=3/2,1000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --moment 1: mpmath's pFs series converges too slowly on the half line\n", err
+
+
 def test_oracle_mu_halfline_estimate_past_the_float_range_is_finite(capsys):
     # tau |f(tau)| of the oscillating 1F2(4; 3/2, 5/2; -x) is about 10^448
     assert main(["oracle", "mu", "--contour", "halfline", "--moment", "1", "--A=4", "--B=3/2,5/2"]) == 3

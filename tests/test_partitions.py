@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import taukit.partitions as partitions_mod
 from taukit.partitions import (
     Partition,
     SkewShape,
@@ -147,3 +148,38 @@ def test_skew_shape():
 def test_order_is_graded_revlex():
     ps = list(enumerate_partitions(6))
     assert ps == sorted(ps)
+
+
+def table_walks():
+    """What the walks that read the partition table give: enumerations,
+    numeric and formal tau series (one with an eigenvalue length cap), the
+    Fock trace and the loop scalar product."""
+    from taukit.fock import trace_h0
+    from taukit.models import loop_scalar_product
+    from taukit.tau import Eigs, Formal, QGeo, TauSpec, TInf, WeightA, tau_series
+    from taukit.weights import RationalContent
+
+    r = RationalContent([Fraction(1, 2), 3], [Fraction(-5, 2)])
+    return (
+        [tuple(p) for p in enumerate_partitions(12)],
+        [tuple(p) for p in enumerate_partitions(9, length_max=3, col_max=4)],
+        [tuple(p) for p in partitions_of(10, length_max=4)],
+        tau_series(TauSpec(r, 1, WeightA(Fraction(2, 3)), QGeo(Fraction(1, 3))), 11).coeffs,
+        tau_series(TauSpec(r, -1, Eigs([Fraction(1, 2), Fraction(1, 3)]), TInf()), 10).coeffs,
+        tau_series(TauSpec(r, 0, Formal(), Formal()), 6).coeffs,
+        trace_h0(r, 2, 9),
+        loop_scalar_product([r, r.reflected()], 1, 8),
+    )
+
+
+@pytest.mark.parametrize("bound", [0, 40])
+def test_partition_table_past_its_bound_gives_the_same_walks(bound):
+    # an entry the table cannot keep is built on each request, with the
+    # same tuples in the same order
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions_mod, "_PARTS_TABLE", {})
+        mp.setattr(partitions_mod, "_parts_table_size", 0)
+        mp.setattr(partitions_mod, "_PARTS_TABLE_MAX", bound)
+        capped = table_walks()
+        assert partitions_mod._parts_table_size <= bound
+    assert table_walks() == capped

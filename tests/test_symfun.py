@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -442,3 +442,33 @@ def test_one_times_in_any_order_equals_fresh_times(order, t1, rest, kind, bound)
             for d in range(11):
                 assert_column_orthogonality(d)
     characters.cache_clear()
+
+
+units = st.fractions(min_value=-1, max_value=1, max_denominator=9).filter(lambda x: 0 < abs(x) < 1)
+rational_times = st.one_of(
+    st.lists(rationals_with_zero, min_size=1, max_size=10).map(Times.of),
+    st.builds(miwa, st.lists(rationals, min_size=1, max_size=5), st.integers(1, 12)),
+    st.builds(Times.weight_a, rationals, st.integers(1, 12)),
+    st.builds(Times.q_geometric, units, st.integers(1, 12)),
+    st.builds(Times.q_weight_a, st.integers(-3, 3), units, st.integers(1, 12)),
+)
+
+
+@given(rational_times, st.lists(partitions_to_8, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_times_scale_keeps_every_step_weight_an_integer(t, lams):
+    # the greedy scale c makes each m t_m c^m an integer and divides the lcm
+    # of the denominators, the scale the engine had before; the values stay
+    c = t._scale
+    assert lcm(*(x.denominator for x in t.entries)) % c == 0
+    assert t._steps == tuple((m, m * x * c**m) for m, x in enumerate(t.entries, start=1) if x)
+    assert all(type(w) is int for _, w in t._steps)
+    for lam in lams:
+        assert schur(lam, t) == jacobi_trudi(t, lam), lam
+
+
+def test_times_scale_of_miwa_and_weight_points():
+    t = miwa([F(1, 2), F(2, 3), F(3, 4), F(4, 5), F(1, 7)], 16)
+    assert t._scale == 420  # the lcm of the t_m has 151 bits
+    assert Times.weight_a(F(3, 2), 16)._scale == 2
+    assert Times.exp_point(9)._scale == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taukit.partitions import Partition, enumerate_partitions
-from taukit.symfun import PolyRing, PolySeries, Times, _det, exp_series
+from taukit.symfun import PolyRing, PolySeries, Times, _det, exp_series, schur
 from taukit.tau import (
     Eigs,
     Formal,
@@ -313,18 +313,34 @@ def test_tau_series_numeric_sides_golden():
     import hashlib
     import json
 
+    # the D = 16 rows were recorded when t(a), t_inf and q-geometric sides
+    # still went through the border-strip engine, before they became rows
     cases = [
-        (RationalContent([F(1, 2)], [F(7, 2)]), 1, WeightA(F(3, 2)), QGeo(F(1, 3)), 139,
+        (RationalContent([F(1, 2)], [F(7, 2)]), 1, WeightA(F(3, 2)), QGeo(F(1, 3)), 10, 139,
          "cad5de5f63afc69855767d4943cc3924cda78e2fa1fe06e0ef7b551e64a9a77b"),
-        (QRationalContent([-4], [12], F(1, 2)), 0, QGeo(F(-1, 2)), WeightA(F(-2, 3)), 94,
+        (QRationalContent([-4], [12], F(1, 2)), 0, QGeo(F(-1, 2)), WeightA(F(-2, 3)), 10, 94,
          "794ab5f627afdbdbac83449c4b46333e97a94937d17ddf0c9b11cf1e44e2396d"),
-        (LIN, 3, WeightA(F(5, 2)), TInf(), 67,
+        (LIN, 3, WeightA(F(5, 2)), TInf(), 10, 67,
          "c8c9c42648f716d78fa0b600ed5aeaa13c7e643d0a1d66373aeb99e39d05a066"),
-        (RationalContent([F(1, 3), -6], [F(7, 4)]), 2, QGeo(F(2, 5)), TInf(), 94,
+        (RationalContent([F(1, 3), -6], [F(7, 4)]), 2, QGeo(F(2, 5)), TInf(), 10, 94,
          "02c6e71acd4839db46c27974bd0966227561924e5e9625f8a5118550b2bce474"),
+        (RationalContent([F(1, 2)], [F(7, 2)]), 1, WeightA(F(3, 2)), QGeo(F(1, 3)), 16, 915,
+         "8c74af56d10bfca02da0d2a78a368ef58e0a6b5a0dc1745c6d511857f828df60"),
+        (QRationalContent([-4], [20], F(1, 2)), 0, QGeo(F(-1, 2)), WeightA(F(-2, 3)), 16, 359,
+         "8181e26daf53460c95604578283368c8aea4cbd361394509896eb3a0977d4f44"),
+        (LIN, 3, WeightA(F(5, 2)), TInf(), 16, 204,
+         "823ac7ff75dd0c31ec9e2b792b7359eaee287d14a8ccc7c8267f5f914777ebea"),
+        (RationalContent([F(1, 3), -6], [F(7, 4)]), 2, QGeo(F(2, 5)), TInf(), 16, 359,
+         "06d66c8e9721d445309b014ee186fbed165f078017f1740c9d6db6bce330c09f"),
+        (RationalContent([F(2, 3)], [F(5, 2)]), -1, Eigs([F(1, 2), F(2, 3), F(3, 4), F(4, 5), F(1, 7)]),
+         WeightA(F(-3)), 16, 56, "e32b806963b4f40a3d157bb1796d935c97b39b7213ed2e8aff57f641e87f7f6e"),
+        (RationalContent([F(-1, 2)], []), 2, Eigs([F(1, 3), F(-2, 5), F(5, 6)]), Eigs([F(3, 7), F(1, 2), F(-1, 4)]),
+         16, 204, "a98e66438486e809ffe731bc91141667c9f2f6d9fd60fa009b33b82a57ff84f7"),
+        (RationalContent([], [F(1, 3)]), 0, TInf(), QGeo(F(3, 4)), 16, 915,
+         "a62d76785922273cc7f67550e51b687ae1e16561f1905b59a74b7b6c4cf67fc4"),
     ]
-    for r, n, t, u, terms, digest in cases:
-        ts = tau_series(TauSpec(r, n, t, u), 10)
+    for r, n, t, u, D, terms, digest in cases:
+        ts = tau_series(TauSpec(r, n, t, u), D)
         blob = json.dumps(ts.to_json(), sort_keys=True).encode()
         assert (len(ts.coeffs), hashlib.sha256(blob).hexdigest()) == (terms, digest), ts.spec.describe()
 
@@ -590,3 +606,60 @@ def test_numeric_tau_series_equals_cell_products_and_jacobi_trudi(data, q_kind, 
         if c:
             want[lam] = c
     assert tau_series(TauSpec(r, n, t, u), D).coeffs == want
+
+
+# -- hook-content rows against the engine --------------------------------------
+
+row_sides = st.one_of(
+    st.builds(WeightA, st.one_of(st.integers(-3, 0), st.fractions(min_value=-3, max_value=3, max_denominator=5))),
+    st.builds(QGeo, units),
+    st.just(TInf()),
+)
+any_sides = st.one_of(
+    row_sides,
+    st.builds(Eigs, st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=5), min_size=1, max_size=4)),
+    st.just(Formal()),
+)
+
+
+@given(st.lists(non_integers, max_size=2), st.lists(st.integers(-3, 3), max_size=1),
+       st.lists(non_integers, max_size=2), st.integers(-3, 3), any_sides, any_sides, st.integers(0, 10),
+       st.one_of(st.none(), st.integers(0, 10)))
+@settings(max_examples=60, deadline=None)
+def test_row_sides_equal_the_engine_partition_by_partition(a, zero, b, n, t, u, D, length_max):
+    # t(a), t_inf and q-geometric sides ride on the walk as row pairs; each
+    # coefficient is still r_lambda(n) times the engine's s_lambda of every
+    # specialized side (a formal side keeps its factor implicit)
+    r = RationalContent([*a, *zero], b)
+    caps = [D, length_max, t.length_cap(), u.length_cap()]
+    want = {}
+    for lam in enumerate_partitions(D, min(c for c in caps if c is not None)):
+        c = content_product(r, n, lam)
+        for side in (t, u):
+            times = side.times(D)
+            if times is not None:
+                c *= schur(lam, times)
+        if c:
+            want[lam] = c
+    assert tau_series(TauSpec(r, n, t, u), D, length_max).coeffs == want
+
+
+def row_value(side, lam):
+    """The product of the side's row pairs along the walk to lambda."""
+    out = F(1)
+    for k in range(1, lam.length + 1):
+        num, den = side.row(lam.parts[:k])
+        out *= F(num, den)
+    return out
+
+
+def test_row_products_are_the_hook_content_values():
+    # s_lambda(t_inf) = 1/H_lambda, s_lambda(t(a)) = (a)_lambda/H_lambda and
+    # s_lambda(gamma(inf, q)) = q^n(lambda)/H_lambda(q), for every |lambda| <= 10
+    for lam in enumerate_partitions(10):
+        hooks = hook_product(lam)
+        assert row_value(TInf(), lam) == F(1, hooks), lam
+        for a in (F(0), F(-2), F(3), F(5, 2), F(-7, 3)):
+            assert row_value(WeightA(a), lam) == pochhammer_partition(a, lam) / hooks, (lam, a)
+        for q in (F(1, 2), F(-2, 3), F(3, 7)):
+            assert row_value(QGeo(q), lam) == q ** lam.n_stat() / hook_product_q(lam, q), (lam, q)

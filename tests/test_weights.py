@@ -24,7 +24,6 @@ from taukit.weights import (
     q_pochhammer_partition,
     rational_r_decomposition,
     skew_content_product,
-    weight_table,
 )
 
 LIN = LinearContent()
@@ -146,10 +145,38 @@ def test_multiplicativity_over_skew_chains():
                 ) * skew_content_product(r, 1, SkewShape(lam, mu))
 
 
+def zeros_on(r, lo, hi):
+    """The k in [lo, hi] with r(k) = 0; poles are passed over."""
+    out = []
+    for k in range(lo, hi + 1):
+        try:
+            if r(k) == 0:
+                out.append(k)
+        except ContentPoleError:
+            pass
+    return out
+
+
+def poles_on(r, lo, hi):
+    """The k in [lo, hi] where r has a pole."""
+    out = []
+    for k in range(lo, hi + 1):
+        try:
+            r(k)
+        except ContentPoleError:
+            out.append(k)
+    return out
+
+
+def weight_table(r, n, D):
+    """All weights r_lambda(n) for |lambda| <= D, in the canonical order."""
+    return {lam: content_product(r, n, lam) for lam in enumerate_partitions(D)}
+
+
 def test_zeros_and_windows():
-    assert LIN.zeros_on(-2, 2) == [0]
+    assert zeros_on(LIN, -2, 2) == [0]
     r = RationalContent(a=[2], b=[0])
-    assert r.poles_on(-1, 1) == [0]
+    assert poles_on(r, -1, 1) == [0]
     tab = TabulatedContent({-1: F(1, 2), 0: F(0)})
     assert tab(-1) == F(1, 2)
     with pytest.raises(ContentPoleError):
@@ -162,6 +189,23 @@ def test_zeros_and_windows():
     # every r(k) of a window is evaluated, so a zero does not hide a pole after it
     with pytest.raises(ContentPoleError):
         tab.window(-1, 5)
+
+
+@given(st.lists(st.tuples(st.integers(-4, 2), st.integers(-1, 6)), min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_windows_asked_in_any_order_are_the_row_products(bounds):
+    # each window extends the longest kept one of its lo; an empty or
+    # reversed window is 1, and a pole met on the way still raises
+    q = RationalContent(a=[-1, F(1, 3)], b=[F(5, 2)])
+    tab = TabulatedContent({k: F(k + 3, 2) for k in range(-3, 4)})
+    for lo, hi in bounds:
+        hi = lo + hi
+        assert q.window(lo, hi) == content_product(q, lo + 1, Partition([max(hi - lo, 0)])), (lo, hi)
+        if hi > 3:
+            with pytest.raises(ContentPoleError):
+                tab.window(lo, hi)
+        else:
+            assert tab.window(lo, hi) == content_product(tab, lo + 1, Partition([max(hi - lo, 0)]))
 
 
 def test_wrappers_and_product():
