@@ -12,17 +12,22 @@ annihilate-then-create order and is validated against the classical sign
 formulas by the test suite.
 
 Coefficients are duck-typed: exact Fractions for numeric work, PolySeries
-for symbolic times.
+for symbolic times.  The exponential and the pairing work on the integers
+under them: each amplitude is a PolySeries' {packed monomial: numerator}
+dict (a Fraction's numerator at key 0 when there is no ring), and a whole
+vector shares one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from typing import Optional, Sequence
+from itertools import chain
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
 
 from .partitions import Partition, _parts_of_weight
-from .symfun import PolySeries, _key, _kept_strips
+from .symfun import PolyRing, PolySeries, _as_fraction, _key, _kept_strips, _mul_into
 from .weights import ContentFunction, _pair_sum
 
 _set = object.__setattr__
@@ -63,18 +68,6 @@ class FockState:
             beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
             _set(self, "_lam", Partition([b - i for i, b in enumerate(beads)][::-1]))
         return self._lam
-
-    def maya(self, floor: int) -> list[int]:
-        """Occupied sites >= floor, descending (all sites < floor occupied).
-
-        floor must not exceed charge - length(lam) or deep rows would be cut.
-        """
-        mask = self.mask
-        base = self.charge - mask.bit_count()  # the site of bit 0
-        if floor > base:
-            raise ValueError("floor cuts into the partition rows")
-        beads = [b + base for b in range(mask.bit_length() - 1, 0, -1) if mask >> b & 1]
-        return beads + list(range(base - 1, floor - 1, -1))
 
     def __eq__(self, other):
         return (
@@ -196,17 +189,64 @@ def _accum(d: dict, st: FockState, val):
         d[st] = s
 
 
+def _ring_top(values: Iterable) -> tuple[Optional[PolyRing], int]:
+    """(ring, top) of the first PolySeries among ``values``: top is the key of
+    the first monomial past the ring's cap.  Without a series every key is 0,
+    so (None, 1) sets no cap."""
+    ring = next((x.ring for x in values if isinstance(x, PolySeries)), None)
+    return ring, 1 if ring is None else (ring.cap + 1) << ring._shift
+
+
+def _split(x, ring: Optional[PolyRing]) -> tuple[dict, int]:
+    """(numerators, denominator) of a series of ``ring`` or an exact scalar."""
+    if isinstance(x, PolySeries):
+        if x.ring is not ring and x.ring != ring:
+            raise ValueError("PolySeries from different rings")
+        return x._nums, x._den
+    x = _as_fraction(x)
+    return ({0: x.numerator} if x else {}), x.denominator
+
+
+def _joined(ring: Optional[PolyRing], nums: dict, den: int):
+    """The reduced PolySeries of ``nums`` over ``den``, or the Fraction when
+    there is no ring; ``nums`` has no zero numerator."""
+    return Fraction(nums.get(0, 0), den) if ring is None else PolySeries._reduced(ring, nums, den)
+
+
+def _summed(parts: Iterable[tuple[FockState, dict, int]]) -> tuple[dict, int]:
+    """The sum of (state, numerators, denominator) parts as {state: {key:
+    numerator}} over the lcm of their denominators; cancelled sums stay as
+    zeros for ``_nonzero``."""
+    parts = list(parts)
+    den = lcm(*(q for *_, q in parts))
+    out: dict = {}
+    for st, nums, q in parts:
+        t, f = out.setdefault(st, {}), den // q
+        for key, x in nums.items():
+            t[key] = t.get(key, 0) + x * f
+    return out, den
+
+
+def _nonzero(vec: dict) -> dict:
+    """{state: {key: numerator}} without its zero numerators and empty states."""
+    return {st: t for st, nums in vec.items() if (t := {key: x for key, x in nums.items() if x})}
+
+
 def pair(bra: FockVector, ket: FockVector):
-    """Orthonormal pairing <lambda,n | mu,m> = delta delta, bilinear."""
+    """Orthonormal pairing <lambda,n | mu,m> = delta delta, bilinear: the
+    products of the shared states' amplitudes, summed over one denominator."""
     small, big = (bra, ket) if len(bra.amps) <= len(ket.amps) else (ket, bra)
-    total = None
-    for st, c in small.amps.items():
-        d = big.amps.get(st)
-        if d is None:
-            continue
-        piece = c * d
-        total = piece if total is None else total + piece
-    return Fraction(0) if total is None else total
+    get = big.amps.get
+    both = [(c, d) for st, c in small.amps.items() if (d := get(st)) is not None]
+    if not both:
+        return Fraction(0)
+    ring, top = _ring_top(chain.from_iterable(both))
+    parts = [(_split(c, ring), _split(d, ring)) for c, d in both]
+    den = lcm(*(p * q for (_, p), (_, q) in parts))
+    out: dict = {}
+    for (a, p), (b, q) in parts:
+        _mul_into(out, a, b, den // (p * q), top)
+    return _joined(ring, {k: v for k, v in out.items() if v}, den)
 
 
 # -- one-particle operators ---------------------------------------------------
@@ -249,15 +289,20 @@ class FockOperator:
             raise ValueError("m must be >= 1")
         return cls("At", m=m, r=rt)
 
-    def apply(self, v: FockVector) -> FockVector:
-        out: dict = {}
-        cutoff, truncated = v.cutoff, v.truncated
+    def _moved(self, amps: dict, cutoff: int, truncated: bool) -> tuple[list, bool]:
+        """The moves of the operator on the states of ``amps``, whatever their
+        amplitudes are: (moves, truncated), each move (amplitude, target,
+        sign, r-window or None without r), states and sources in order.
+        A state whose image lies past the cutoff gives no move; it sets
+        ``truncated`` at its first move with a nonzero window."""
+        moves = []
         m, r = self.m, self.r
         # a move src -> src - shift lowers |lambda| by shift; an r-window
         # (lo, lo + m] starts at the target when lowering, at the source when raising
         shift = -m if self.kind == "mA" else m
         below = m if self.kind == "At" else 0
-        for st, c in v.amps.items():
+        w = None
+        for st, c in amps.items():
             weight = st.weight - shift
             over = weight > cutoff
             if over and truncated:
@@ -273,9 +318,16 @@ class FockOperator:
                 if over:
                     truncated = True
                     break
-                val = c if r is None else c * w
-                _accum(out, FockState._of(n, mask, weight), val if sign > 0 else -val)
-        return FockVector(out, cutoff, truncated)
+                moves.append((c, FockState._of(n, mask, weight), sign, w))
+        return moves, truncated
+
+    def apply(self, v: FockVector) -> FockVector:
+        out: dict = {}
+        moves, truncated = self._moved(v.amps, v.cutoff, v.truncated)
+        for c, st, sign, w in moves:
+            val = c if w is None else c * w
+            _accum(out, st, val if sign > 0 else -val)
+        return FockVector(out, v.cutoff, truncated)
 
 
 # -- polynomial families ----------------------------------------------------
@@ -327,29 +379,49 @@ def exp_action(
     """exp(sum_m c_m Op_m) applied to v, truncated at the vector's cutoff.
 
     The generator is applied as a whole, so the terms need not commute with
-    each other for the truncation to be consistent (ours do anyway).
+    each other for the truncation to be consistent (ours do anyway).  Each
+    power G^k v / k! is {state: {key: numerator}} over one denominator, which
+    takes in 1/k, the coefficients' denominators and the r-windows'; it is
+    reduced once by the gcd of all its numerators.  The amplitudes are
+    formed once, at the end, over the lcm of the powers' denominators: a
+    PolySeries when any coefficient or amplitude is one, else a Fraction.
+    A state of v that no power reaches keeps its amplitude as given.
     """
     cutoff, truncated = v.cutoff, v.truncated
-    out = dict(v.amps)
-    acc = v
+    ring, top = _ring_top(chain((c for c, _ in terms), v.amps.values()))
+    gens = [(*_split(c, ring), op) for c, op in terms]
+    acc, den = _summed((st, *_split(c, ring)) for st, c in v.amps.items())
+    powers = [(acc, den)]
     k = 1
     while True:
+        moved = []
+        for c, q, op in gens:
+            moves, truncated = op._moved(acc, cutoff, truncated)
+            moved.append((c, q, q * lcm(*(w.denominator for *_, w in moves if w is not None)), moves))
+        scale = lcm(*(qw for _, _, qw, _ in moved))
         nxt: dict = {}
-        for c, op in terms:
-            piece = op.apply(acc)
-            truncated = truncated or piece.truncated
-            ck = c * Fraction(1, k)
-            for st, a in piece.amps.items():
-                _accum(nxt, st, a * ck)
+        for c, q, _, moves in moved:
+            f = scale // q  # a multiple of every window denominator of these moves
+            for nums, st, sign, w in moves:
+                g = f * sign if w is None else f // w.denominator * w.numerator * sign
+                _mul_into(nxt.setdefault(st, {}), c, nums, g, top)
+        nxt = _nonzero(nxt)
         if not nxt:
             break
-        for st, a in nxt.items():
-            _accum(out, st, a)
-        acc = FockVector(nxt, cutoff, truncated)
+        den *= k * scale
+        g = gcd(den, *chain.from_iterable(t.values() for t in nxt.values()))
+        if g != 1:
+            den //= g
+            nxt = {st: {key: x // g for key, x in nums.items()} for st, nums in nxt.items()}
+        powers.append((nxt, den))
+        acc = nxt
         k += 1
         if k > 4 * cutoff + 8:
             raise WindowOverflowError("exponential failed to truncate")
-    return FockVector(out, cutoff, truncated)
+    out, den = _summed((st, nums, q) for vec, q in powers for st, nums in vec.items())
+    reached = {st for vec, _ in powers[1:] for st in vec}
+    amps = {st: _joined(ring, nums, den) if st in reached else v.amps[st] for st, nums in _nonzero(out).items()}
+    return FockVector(amps, cutoff, truncated)
 
 
 # -- single fermion modes ---------------------------------------------------
@@ -409,13 +481,6 @@ def _h0_pair(r: ContentFunction, mask: int, n: int) -> tuple[int, int]:
         w = r.window(n - L + low.bit_length() - 1, n - 1)
         p, q = p * w.numerator, q * w.denominator
     return p, q
-
-
-def h0_eigenvalue(r: ContentFunction, lam: Partition, n: int) -> Fraction:
-    """Eigenvalue of the diagonal charge operator on |lambda, n>, relative to
-    the charge-n vacuum (vacuum eigenvalue normalized to 1): r_lambda(n),
-    from the particles and holes of lambda's bead mask."""
-    return Fraction(*_h0_pair(r, _key(lam.parts), n))
 
 
 def trace_h0(r: ContentFunction, n: int, D: int) -> list[Fraction]:

@@ -320,6 +320,10 @@ DPS = 20  # working digits of every moment quadrature
 DEGREE = 7  # tanh-sinh levels of every moment quadrature, mpmath's own choice at DPS digits
 MOMENT_RTOL = 1e-6  # relative error estimate past which a moment raises
 HALFLINE_X_MAX = 200  # log10 of the largest x at which the half-line quadrature evaluates pFs
+# terms mpmath may sum for the tail cut's one pFs at x = 10^HALFLINE_X_MAX:
+# the expansions that converge there need far fewer, while a direct series
+# would need more than 10^50, and mpmath spends 100 s before it gives up
+HALFLINE_CUT_TERMS = 1000
 
 
 class DivergenceError(ArithmeticError):
@@ -455,14 +459,14 @@ def _halfline_pfs(n: int, a: Sequence, b: Sequence) -> tuple:
     # (numerator, denominator) pairs are exact rational parameters of mpmath.hyper
     ap, bp = ([(x.numerator, x.denominator) for x in map(Fraction, xs)] for xs in (a, b))
 
-    def f(t):
+    def f(t, **budget):
         s = t ** (-1 / delta)
-        return (s - 1) ** n * mpmath.hyper(ap, bp, 1 - s) * s / (delta * t)
+        return (s - 1) ** n * mpmath.hyper(ap, bp, 1 - s, **budget) * s / (delta * t)
 
     try:
         with mpmath.workdps(DPS):
             tau = mpmath.mpf(10) ** (-HALFLINE_X_MAX * delta)
-            cut = tau * abs(f(tau))
+            cut = tau * abs(f(tau, maxterms=HALFLINE_CUT_TERMS))
         val, err = _quad(f, [tau, 1])
     except mpmath.libmp.NoConvergence:
         raise DivergenceError("mpmath's pFs series converges too slowly on the half line") from None

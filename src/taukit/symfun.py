@@ -261,15 +261,8 @@ class PolySeries:
             limit = top - ka
             out = {ka + kb: va * vb for kb, vb in b.items() if kb < limit}
             return PolySeries._reduced(ring, out, self._den * other._den)
-        # keys sort by degree, so those keys are a prefix of the sorted ones
-        items = sorted(b.items())
-        keys = [k for k, _ in items]
         out: dict = {}
-        get = out.get
-        for ka, va in a.items():
-            for kb, vb in items[:bisect_left(keys, top - ka)]:
-                k = ka + kb
-                out[k] = get(k, 0) + va * vb
+        _mul_into(out, a, b, 1, top)
         return PolySeries._reduced(ring, {k: v for k, v in out.items() if v}, self._den * other._den)
 
     __rmul__ = __mul__
@@ -423,6 +416,33 @@ class PolySeries:
             )
             bits.append(f"({c}){'*' + mono if mono else ''}")
         return " + ".join(bits)
+
+
+def _mul_into(out: dict, a: dict, b: dict, f: int, top: int) -> None:
+    """out += f a b on numerator dicts: every pair of terms whose key sum lies
+    below ``top``, the key of the first monomial past the cap.  Sums that
+    cancel stay in ``out`` as zeros; the caller drops them."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    if len(a) == 1:
+        (ka, va), = a.items()
+        va *= f
+        limit = top - ka
+        for kb, vb in b.items():
+            if kb < limit:
+                k = ka + kb
+                out[k] = get(k, 0) + va * vb
+        return
+    # keys sort by degree, so the keys that meet ka under the cap are a
+    # prefix of the sorted ones
+    items = sorted(b.items())
+    keys = [k for k, _ in items]
+    for ka, va in a.items():
+        va *= f
+        for kb, vb in items[:bisect_left(keys, top - ka)]:
+            k = ka + kb
+            out[k] = get(k, 0) + va * vb
 
 
 class _Terms(Mapping):

@@ -3,14 +3,20 @@ Maya sites, rebuilt into a validated partition after every move.  They share
 no code with the bead-mask moves of ``taukit.fock``; results are keyed by
 ``FockState(partition, charge)`` so they compare with the library's dicts.
 Schur functions of the operator families are Jacobi-Trudi determinants over
-these moves, independent of the library's border-strip recursion."""
+these moves, independent of the library's border-strip recursion, and the
+exponential of a family is its power series over these moves, on the
+coefficients' own arithmetic.
+
+Two readers of the library's bead masks that only the tests use live here
+too: ``state_maya`` and ``h0_eigenvalue``."""
 
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import factorial, prod
 
-from taukit.fock import FockState, FockVector, _family_power, _is_zero
+from taukit.fock import FockState, FockVector, WindowOverflowError, _family_power, _h0_pair, _is_zero
 from taukit.partitions import Partition, partitions_of
+from taukit.symfun import _key
 
 
 def maya(lam, charge, floor):
@@ -21,6 +27,27 @@ def maya(lam, charge, floor):
         out.append(charge + lam.part(i) - i)
         i += 1
     return out
+
+
+def state_maya(st, floor):
+    """The occupied sites >= floor of the library state ``st``, descending,
+    read from its charge and bead mask (all sites < floor occupied).
+
+    floor must not exceed charge - length(lam) or deep rows would be cut.
+    """
+    mask = st.mask
+    base = st.charge - mask.bit_count()  # the site of bit 0
+    if floor > base:
+        raise ValueError("floor cuts into the partition rows")
+    beads = [b + base for b in range(mask.bit_length() - 1, 0, -1) if mask >> b & 1]
+    return beads + list(range(base - 1, floor - 1, -1))
+
+
+def h0_eigenvalue(r, lam, n):
+    """Eigenvalue of the diagonal charge operator on |lambda, n>, relative to
+    the charge-n vacuum (vacuum eigenvalue normalized to 1): r_lambda(n),
+    from the particles and holes of lambda's bead mask."""
+    return F(*_h0_pair(r, _key(lam.parts), n))
 
 
 def state_from_maya(positions, charge):
@@ -146,3 +173,39 @@ def schur_of_operators(lam, family, v, r=None):
                 w = h_of_operators(k, family, r, w)
             pieces.append(((-1) ** sum(a > b for a, b in combinations(perm, 2)), w))
     return _sum(pieces, v.cutoff)
+
+
+def exp_action(terms, v):
+    """(amps, truncated) of exp(sum_m c_m Op_m) on v: the powers G^k v / k!
+    of the generator, each a sum of ``apply`` images times c_m / k, added up
+    until a power vanishes."""
+    cutoff, truncated = v.cutoff, v.truncated
+    out = dict(v.amps)
+    acc = v
+    k = 1
+    while True:
+        nxt = {}
+        for c, op in terms:
+            amps, cut = apply(op, acc)
+            truncated = truncated or cut
+            ck = c * F(1, k)
+            for st, a in amps.items():
+                _add(nxt, st, a * ck)
+        if not nxt:
+            break
+        for st, a in nxt.items():
+            _add(out, st, a)
+        acc = FockVector(nxt, cutoff, truncated)
+        k += 1
+        if k > 4 * cutoff + 8:
+            raise WindowOverflowError("exponential failed to truncate")
+    return out, truncated
+
+
+def pair(bra_amps, ket_amps):
+    """sum over the shared states of the products of their amplitudes."""
+    total = F(0)
+    for st, c in bra_amps.items():
+        if st in ket_amps:
+            total = c * ket_amps[st] + total
+    return total

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -408,6 +409,13 @@ def test_oracle_mu_halfline_series_that_does_not_converge_exits_three(capsys):
     # mpmath's 1F2(4; 3/2, 1000; -x) series gives up inside the quadrature;
     # that is the oracle's range, not a mismatch
     assert main(["oracle", "mu", "--contour", "halfline", "--moment", "1", "--A=4", "--B=3/2,1000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --moment 1: mpmath's pFs series converges too slowly on the half line\n", err
+    # 1F3(4; 3/2, 5/2, 1000; -x) already gives up at the tail cut, x = 10^200,
+    # within the cut's term budget (without one, mpmath took 100 s)
+    t0 = time.perf_counter()
+    assert main(["oracle", "mu", "--contour", "halfline", "--moment", "1", "--A=4", "--B=3/2,5/2,1000"]) == 3
+    assert time.perf_counter() - t0 < 5
     out, err = capsys.readouterr()
     assert out == "" and err == "error: --moment 1: mpmath's pFs series converges too slowly on the half line\n", err
 

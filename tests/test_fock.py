@@ -11,8 +11,8 @@ from taukit.fock import (
     FockOperator,
     FockState,
     FockVector,
+    _family_power,
     exp_action,
-    h0_eigenvalue,
     lemma1_check,
     lemma_partition,
     pair,
@@ -26,6 +26,7 @@ from taukit.weights import (
     LinearContent,
     RationalContent,
     content_product,
+    parse_content,
     skew_content_product,
 )
 
@@ -249,7 +250,7 @@ def test_h0_eigenvalue_matches_weights():
     for r in (R_HALF, RationalContent(a=[1]), LIN):
         for lam in enumerate_partitions(6):
             for n in (-1, 0, 2):
-                assert h0_eigenvalue(r, lam, n) == content_product(r, n, lam), (lam, n)
+                assert fock_reference.h0_eigenvalue(r, lam, n) == content_product(r, n, lam), (lam, n)
 
 
 def test_trace_h0():
@@ -317,13 +318,71 @@ def test_state_round_trips(lam, n, depth, op):
     st_ = FockState(lam, n)
     assert st_.lam == lam and st_.weight == lam.weight
     floor = n - lam.length - depth
-    assert st_.maya(floor) == fock_reference.maya(lam, n, floor)
+    assert fock_reference.state_maya(st_, floor) == fock_reference.maya(lam, n, floor)
     with pytest.raises(ValueError):
-        st_.maya(n - lam.length + 1)
+        fock_reference.state_maya(st_, n - lam.length + 1)
     # states built by moves from bead masks equal, and hash like, the same
     # states built from their partitions
     for moved in op.apply(FockVector.basis(lam, n, 16)).amps:
         again = FockState(moved.lam, moved.charge)
         assert moved == again and hash(moved) == hash(again) and moved.weight == moved.lam.weight
-        assert moved.maya(floor - 6) == fock_reference.maya(moved.lam, n, floor - 6)
+        assert fock_reference.state_maya(moved, floor - 6) == fock_reference.maya(moved.lam, n, floor - 6)
         assert moved != FockState(moved.lam, n + 1)
+
+
+# -- the exponential and the pairing against the reference series -------------
+
+# non-integer a and b; r(k) = -2k/3 and the constant 3/2; r(k) = k - 1, which
+# vanishes at 1, inside the windows of moves near the charge
+exp_contents = st.sampled_from(
+    [parse_content(s) for s in ("rational:a=1/2;b=7/2", "linear|scale:-2/3", "one|scale:3/2", "rational:a=-1")]
+)
+small_fractions = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def exponentials(draw):
+    """(terms, v): one family over some of m = 1..D, D <= 6, with Fraction
+    coefficients or series in t_1..t_D (up to two terms each), on the
+    vacuum, a basis state or a sum of states of charges near n in [-2, 2];
+    the cutoff may cut the start vector and its images."""
+    D = draw(st.integers(1, 6))
+    n = draw(st.integers(-2, 2))
+    family = draw(st.sampled_from(["H", "H*", "-A", "At"]))
+    r = draw(exp_contents)
+    ms = draw(st.lists(st.integers(1, D), min_size=1, max_size=D, unique=True))
+    ring = PolyRing.times_ring(D, cap=D) if draw(st.booleans()) else None
+    terms = []
+    for m in ms:
+        c = draw(small_fractions.filter(bool))
+        if ring is not None:
+            c = ring.var(m - 1) * c + ring.var(0) ** m * draw(small_fractions)
+        terms.append((c, _family_power(family, m, r)))
+    cutoff = draw(st.integers(0, D))
+    kind = draw(st.sampled_from(["vacuum", "basis", "sum"]))
+    if kind == "vacuum":
+        return terms, FockVector.vacuum(n, cutoff)
+    weights = st.integers(0, D).flatmap(lambda d: st.sampled_from(list(partitions_of(d))))
+    if kind == "basis":
+        return terms, FockVector.basis(draw(weights), n, cutoff)
+    states = draw(st.lists(st.tuples(weights, st.integers(n - 1, n + 1)), min_size=2, max_size=3, unique=True))
+    amps = {}
+    for lam, charge in states:
+        a = draw(small_fractions.filter(bool))
+        amps[FockState(lam, charge)] = a if ring is None or draw(st.booleans()) else ring.var(0) * a + 1
+    return terms, FockVector(amps, cutoff)
+
+
+@given(exponentials())
+@settings(max_examples=150, deadline=None)
+def test_exp_action_and_pair_equal_reference(case):
+    terms, v = case
+    got = exp_action(terms, v)
+    want, truncated = fock_reference.exp_action(terms, v)
+    assert got.amps == want and got.truncated == truncated
+    # a series or a Fraction as the coefficient arithmetic gives it: the
+    # pairing's type sets how a result prints
+    assert {st: type(a) for st, a in got.amps.items()} == {st: type(a) for st, a in want.items()}
+    for bra, bra_want in ((got, want), (v, v.amps)):
+        p, q = pair(bra, got), fock_reference.pair(bra_want, want)
+        assert p == q and type(p) is type(q)
