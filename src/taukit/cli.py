@@ -85,6 +85,12 @@ def _bad_value(option: str, values, why) -> ValueError:
     return ValueError(f"argument {option}: invalid value {_joined(values)!r} ({why})")
 
 
+def _require(ok: bool, option: str, values, why) -> None:
+    """Report ``values`` of ``option`` as a bad value unless ``ok``."""
+    if not ok:
+        raise _bad_value(option, values, why)
+
+
 def _poles_name(option: str, values, fn, *args):
     """fn(*args), with a parameter pole reported as a bad value of ``option``."""
     try:
@@ -112,8 +118,11 @@ def _joined(values) -> str:
 
 
 def parse_side(spec: str):
-    """Side syntax: "t:K" (formal), "eigs:1,1/2", "ta:3/2", "inf", "qgeo:1/3"."""
+    """Side syntax: "t:K" (formal; K is a non-negative integer, and the
+    width of the formal block is --deg, not K), "eigs:1,1/2", "ta:3/2",
+    "inf", "qgeo:1/3"."""
     if spec.startswith("t:"):
+        _at_least(0, spec[len("t:"):])
         return Formal()
     if spec.startswith("eigs:"):
         return Eigs(_list_of(Fraction)(spec[len("eigs:"):]))
@@ -197,12 +206,15 @@ def cmd_hyper_pfs(args) -> int:
 
 
 def cmd_hyper_two(args) -> int:
+    _require(len(args.y) == len(args.x), "--y", args.y, f"needs as many eigenvalues as --x, {len(args.x)}")
     ts = _poles_name("--b", args.b, hyper_two_arg, args.a, args.b, args.m, args.x, args.y, args.deg)
     _emit(args, {"family": "two-argument", "coefficients": ts.to_json()})
     return 0
 
 
 def cmd_hyper_qphi(args) -> int:
+    same = args.y is None or len(args.y) == len(args.x)
+    _require(same, "--y", args.y, f"needs as many eigenvalues as --x, {len(args.x)}")
     ts = _poles_name("--b", args.b, hyper_q, args.a, args.b, args.q, args.m, args.x, args.y, args.deg)
     _emit(args, {"family": "qPhi", "q": str(args.q), "coefficients": ts.to_json()})
     return 0
@@ -210,7 +222,7 @@ def cmd_hyper_qphi(args) -> int:
 
 def cmd_model(args) -> int:
     which = args.which
-    if args.n < 0 and (which == "unitary" or which == "gen43" and args.kind != "gw_unit"):
+    if args.n < 0 and (which in ("unitary", "gw") or which == "gen43" and args.kind != "gw_unit"):
         raise _bad_value("--n", [args.n], "the length cap l(lambda) <= n needs n >= 0")
     if which == "quartic":
         ms = models_mod.quartic_series(args.order)
@@ -247,6 +259,7 @@ def cmd_model(args) -> int:
         })
         return 0
     if which == "gw":
+        _require(len(args.x) <= args.n, "--x", args.x, f"needs at most --n {args.n} eigenvalues")
         ts = models_mod.gross_witten_series(args.n, args.x, args.deg)
         _emit(args, {"model": "gross-witten", "coefficients": ts.to_json()})
         return 0
@@ -255,6 +268,9 @@ def cmd_model(args) -> int:
         _emit(args, {"model": "unitary", "coefficients": ts.to_json()})
         return 0
     if which == "gen43":
+        needs = (("--a", args.a, ("hciz", "complex", "gw")), ("--rtilde", args.rtilde, ("gw", "gw_unit")))
+        for option, value, kinds in needs:
+            _require(value is not None or args.kind not in kinds, option, [], f"--kind {args.kind} needs a value")
         ts = models_mod.generalized_angle_integral(args.kind, args.r, args.n, args.deg, a=args.a, rt=args.rtilde)
         _emit(args, {"model": f"angle-integral/{args.kind}", "coefficients": ts.to_json()})
         return 0
@@ -333,6 +349,10 @@ def cmd_oracle(args) -> int:
         _emit(args, {"oracle": "haar", "n": args.n, "unitarity_deviation": dev})
         return 0 if dev < 1e-12 else 1
     if which in ("ginibre", "unitary-mc"):
+        for option, values in (("--A", args.A), ("--B", args.B)):
+            _require(len(values) == args.n, option, values, f"needs --n {args.n} entries")
+        for option, lam in (("--l", args.l), ("--mu", args.mu)):
+            _require(lam is None or lam.length <= args.n, option, [lam], f"needs at most --n {args.n} parts")
         fn = (
             oracle_mod.mc_schur_ginibre_identity
             if which == "ginibre"

@@ -2,10 +2,11 @@
 
 A basis state |lambda, n> is the Maya particle configuration
 { n + lambda_i - i : i >= 1 } on the integer lattice, with every site deep
-enough always occupied.  It is held as its charge n and the bead mask of
-lambda (symfun's, Macdonald I.1 Ex. 7): bit b stands for the site
+enough always occupied.  It is the tuple (n, bead mask of lambda, |lambda|),
+the mask symfun's (Macdonald I.1 Ex. 7): bit b stands for the site
 b + n - l(lambda), bit 0 is clear and every site below it is occupied.  All
-operators used here move one particle at a time, two bit flips on the mask;
+operators used here move one particle at a time, two bit flips on the mask
+(``symfun._bead_moves``, the move that also removes border strips);
 the fermionic sign of a move is (-1)^(number of occupied sites strictly
 between source and target), which is the wedge-ordering sign for the
 annihilate-then-create order and is validated against the classical sign
@@ -20,6 +21,7 @@ vector shares one denominator.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -27,90 +29,35 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .partitions import Partition, _parts_of_weight
-from .symfun import PolyRing, PolySeries, _as_fraction, _key, _kept_strips, _mul_into
+from .symfun import PolyRing, PolySeries, _as_fraction, _bead_moves, _key, _kept_strips, _mul_into, _unpadded
 from .weights import ContentFunction, _pair_sum
 
-_set = object.__setattr__
 
+class FockState(namedtuple("FockState", "charge mask weight")):
+    """Basis vector |lambda, n>, the tuple (charge, bead mask, weight).
 
-class FockState:
-    """Basis vector |lambda, n>, held as (charge, bead mask) plus its weight.
-
-    Equality and hashing read charge and mask; the partition is built from
-    the mask only when ``lam`` is asked for, and then kept.
+    Equality and hashing are the tuple's; the partition is rebuilt from the
+    mask when ``lam`` is asked for.
     """
 
-    __slots__ = ("charge", "mask", "weight", "_lam")
+    __slots__ = ()
 
-    def __init__(self, lam: Partition, charge: int):
-        _set(self, "charge", int(charge))
-        _set(self, "mask", _key(lam.parts))
-        _set(self, "weight", lam.weight)
-        _set(self, "_lam", lam)
+    def __new__(cls, lam: Partition, charge: int):
+        return tuple.__new__(cls, (int(charge), _key(lam.parts), lam.weight))
 
     @classmethod
     def _of(cls, charge: int, mask: int, weight: int) -> "FockState":
         """The state with a canonical bead mask (bit 0 clear) of that weight."""
-        st = cls.__new__(cls)
-        _set(st, "charge", charge)
-        _set(st, "mask", mask)
-        _set(st, "weight", weight)
-        _set(st, "_lam", None)
-        return st
-
-    def __setattr__(self, *a):
-        raise AttributeError("FockState is immutable")
+        return tuple.__new__(cls, (charge, mask, weight))
 
     @property
     def lam(self) -> Partition:
-        if self._lam is None:
-            mask = self.mask
-            beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
-            _set(self, "_lam", Partition([b - i for i, b in enumerate(beads)][::-1]))
-        return self._lam
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FockState)
-            and self.mask == other.mask
-            and self.charge == other.charge
-        )
-
-    def __hash__(self):
-        return hash((self.charge, self.mask))
+        mask = self.mask
+        beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+        return Partition([b - i for i, b in enumerate(beads)][::-1])
 
     def __repr__(self):
         return f"|{self.lam}, {self.charge}>"
-
-
-def _canonical(beads: int) -> int:
-    """Drop the run of occupied sites at the bottom of a padded bead mask."""
-    return beads >> (~beads & (beads + 1)).bit_length() - 1
-
-
-def _moves(mask: int, shift: int) -> list[tuple[int, int, int]]:
-    """Every single-particle move b -> b - shift on the bead mask ``mask``,
-    sources in descending order, as (source bit, sign, canonical new mask).
-
-    For shift < 0 the mask is first padded with -shift sea beads, the only
-    ones below bit 0 that can rise to a free site, so a source bit may be
-    negative; the sign is (-1)^(beads strictly between source and target).
-    """
-    pad = -shift if shift < 0 else 0
-    beads = mask << pad | (1 << pad) - 1
-    if shift > 0:
-        movable = beads & ~(beads << shift) & ~((1 << shift) - 1)
-    else:
-        movable = beads & ~(beads >> pad)
-    out = []
-    while movable:
-        src = movable.bit_length() - 1
-        movable ^= 1 << src
-        dst = src - shift
-        lo, hi = (dst, src) if shift > 0 else (src, dst)
-        between = (beads >> lo + 1 & (1 << hi - lo - 1) - 1).bit_count()
-        out.append((src - pad, -1 if between & 1 else 1, _canonical(beads ^ 1 << src ^ 1 << dst)))
-    return out
 
 
 class WindowOverflowError(RuntimeError):
@@ -303,13 +250,13 @@ class FockOperator:
         below = m if self.kind == "At" else 0
         w = None
         for st, c in amps.items():
-            weight = st.weight - shift
+            n, mask, weight = st
+            weight -= shift
             over = weight > cutoff
             if over and truncated:
                 continue
-            n = st.charge
-            base = n - st.mask.bit_count()
-            for src, sign, mask in _moves(st.mask, shift):
+            base = n - mask.bit_count()
+            for src, sign, target in _bead_moves(mask, shift):
                 if r is not None:
                     lo = src + base - below
                     w = r.window(lo, lo + m)
@@ -318,7 +265,7 @@ class FockOperator:
                 if over:
                     truncated = True
                     break
-                moves.append((c, FockState._of(n, mask, weight), sign, w))
+                moves.append((c, FockState._of(n, target, weight), sign, w))
         return moves, truncated
 
     def apply(self, v: FockVector) -> FockVector:
@@ -437,21 +384,22 @@ def psi_apply(v: FockVector, site: int, create: bool) -> FockVector:
     out: dict = {}
     truncated = v.truncated
     for st, c in v.amps.items():
-        b = site - st.charge + st.mask.bit_count()  # the site's bit; the sea lies below 0
+        charge, mask, weight = st
+        b = site - charge + mask.bit_count()  # the site's bit; the sea lies below 0
         pad = -b if b < 0 else 0
-        beads = st.mask << pad | (1 << pad) - 1
+        beads = mask << pad | (1 << pad) - 1
         b += pad
         if bool(beads >> b & 1) is create:
             continue  # Pauli: the site is already occupied, or has nothing to remove
         L = beads.bit_count()
         if create:
-            beads, weight = beads | 1 << b, st.weight + b - L
+            beads, weight = beads | 1 << b, weight + b - L
         else:
-            beads, weight = beads ^ 1 << b, st.weight - b + L - 1
+            beads, weight = beads ^ 1 << b, weight - b + L - 1
         if weight > v.cutoff:
             truncated = True
             continue
-        ns = FockState._of(st.charge + (1 if create else -1), _canonical(beads), weight)
+        ns = FockState._of(charge + (1 if create else -1), _unpadded(beads), weight)
         _accum(out, ns, -c if (beads >> b + 1).bit_count() & 1 else c)
     return FockVector(out, v.cutoff, truncated)
 

@@ -107,14 +107,8 @@ def two_matrix_vs_closed(D: int) -> bool:
 # -- quartic Hermitian one-matrix model ---------------------------------------
 
 
-def _single_slot(slot: int) -> Times:
-    """The times with t_slot = 1 and every other time zero."""
-    return Times.of([0] * (slot - 1) + [1])
-
-
-def schur_single_slot(lam: Partition, slot: int) -> Fraction:
-    """s_lambda(t) with t_slot = 1 and every other time zero."""
-    return schur(lam, _single_slot(slot))
+# the quartic model's two specializations: t_4 = 1, resp. t_2 = 1, every other time zero
+_T4, _T2 = (Times.of([0] * (slot - 1) + [1]) for slot in (4, 2))
 
 
 def pochhammer_poly(lam: Partition) -> Poly1:
@@ -179,44 +173,19 @@ def quartic_series(order: int) -> ModelSeries:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    t4, t2 = _single_slot(4), _single_slot(2)
     orders = [Poly1([1])]
     for k in range(1, order + 1):
-        acc = Poly1([])
-        for lam in partitions_of(4 * k):
-            a = schur(lam, t4)
-            if a == 0:
-                continue
-            b = schur(lam, t2)
-            if b == 0:
-                continue
-            acc = acc + pochhammer_poly(lam) * (a * b)
-        acc = acc.shift_divide(k)  # divide by N^k; exact
-        scale = Fraction((-1) ** k, 16**k)
-        orders.append(acc * scale)
+        acc = sum(map(quartic_contribution, partitions_of(4 * k)), Poly1())
+        orders.append(acc.shift_divide(k) * Fraction((-1) ** k, 16**k))  # divide by N^k; exact
     return ModelSeries(orders, "quartic via two-matrix specialization")
 
 
 def quartic_contribution(lam: Partition) -> Poly1:
-    """(N)_lambda a_lambda b_lambda, the summand of one quartic order."""
-    ab = schur_single_slot(lam, 4) * schur_single_slot(lam, 2)
-    return pochhammer_poly(lam) * ab
-
-
-def quartic_conjugation_pairing(weight: int) -> bool:
-    """Conjugation bookkeeping at |lambda| = 4k: the conjugate partition
-    contributes (-1)^k times the original at -N, which forces every order
-    coefficient (after the N^k division) to be even in N."""
-    if weight % 4 != 0:
-        raise ValueError("quartic orders live at weights divisible by 4")
-    k = weight // 4
-    for lam in partitions_of(weight):
-        c = quartic_contribution(lam)
-        cc = quartic_contribution(lam.conjugate())
-        at_minus = Poly1([v * Fraction((-1) ** (i + k)) for i, v in enumerate(c.coeffs)])
-        if cc != at_minus:
-            return False
-    return True
+    """(N)_lambda a_lambda b_lambda, the summand of one quartic order, with
+    a = s_lambda at t_4 = 1 and b = s_lambda at t_2 = 1."""
+    a = schur(lam, _T4)
+    b = a and schur(lam, _T2)
+    return pochhammer_poly(lam) * (a * b) if b else Poly1()
 
 
 # -- HCIZ and unitary-average integrals ---------------------------------------
@@ -228,13 +197,6 @@ def hciz(n: int, D: int) -> DetRepResult:
     both expanded symbolically in the eigenvalues through degree D.
     """
     return det_rep_two_side(RationalContent(b=[0]), n, n, D)
-
-
-def hciz_series(n: int, xs: Sequence, ys: Sequence, D: int) -> TauSeries:
-    """The HCIZ perturbation series at exact eigenvalues."""
-    if len(xs) != n or len(ys) != n:
-        raise ValueError("need n eigenvalues on each side")
-    return tau_series(TauSpec(RationalContent(b=[0]), n, Eigs(xs), Eigs(ys)), D)
 
 
 def gross_witten_series(n: int, jj_eigs: Sequence, D: int) -> TauSeries:
@@ -277,12 +239,6 @@ def normal_matrix_map(u: Times, D: int) -> dict:
     return {"r_table": table, "h_moments": hs, "mu_coeffs": list(hs)}
 
 
-def normal_matrix_series(r: ContentFunction, n: int, D: int) -> TauSeries:
-    """The normal-matrix perturbation series for a caller-supplied content
-    function (the analytic continuation of the tabulated negative window)."""
-    return tau_series(TauSpec(r, n, Formal(), Formal()), D)
-
-
 # -- generalized angle integrals (composed weights) ----------------------------
 
 
@@ -322,17 +278,15 @@ def generalized_angle_integral(
           "gw" (two-tau average, weight r rtilde composed), or
           "gw_unit" (X Y = I_n case: plain product weight r rtilde).
     """
+    if rt is None and kind in ("gw", "gw_unit"):
+        raise ValueError(f"{kind} needs rtilde")
     if kind == "hciz":
         comp = angle_hciz_average(r, a, n)
     elif kind == "complex":
         comp = angle_complex_average(r, a, n)
     elif kind == "gw":
-        if rt is None:
-            raise ValueError("gw needs rtilde")
         comp = angle_gross_witten_average(r, rt, a, n)
     elif kind == "gw_unit":
-        if rt is None:
-            raise ValueError("gw_unit needs rtilde")
         comp = r * rt
     else:
         raise ValueError(f"unknown kind {kind!r}")

@@ -366,6 +366,12 @@ def _within(value, error):
 
 
 def _real_imaginary(n: int, m: int, eps: float) -> tuple[complex, float]:
+    """(I_eps, error estimate), I_eps = int int x^n y^m e^{-x y} e^{-eps(x^2+s^2)}
+    dx dy over the real x axis and the imaginary axis y = i s, oriented from
+    +i infinity to -i infinity; it tends to -2 pi i delta_{nm} n! with O(eps)
+    error."""
+    # The s integral is a Gaussian Fourier transform, int s^m e^{-eps s^2 - i x s} ds
+    # = i^m (d/dx)^m G(x) with G(x) = sqrt(pi/eps) exp(-x^2/(4 eps)).
     # In the scaled variable u = x/(2 sqrt(eps)):
     #   (d/dx)^m G(x) = (2 sqrt(eps))^-m sqrt(pi/eps) (-1)^m H_m(u) e^{-u^2}
     # with H_m the physicists' Hermite polynomial, and e^{-eps x^2} e^{-u^2}
@@ -384,20 +390,6 @@ def _real_imaginary(n: int, m: int, eps: float) -> tuple[complex, float]:
     val, err = _quad(lambda u: mpmath.polyval(coeffs, u) * mpmath.exp(-beta * u * u), [0, mpmath.inf])
     c = 2 * mpmath.sqrt(4 * mpmath.mpf(eps)) ** (n + 1 - m) * mpmath.sqrt(mpmath.pi / eps)
     return complex(-1j * c * val), float(c * err)
-
-
-def moment_real_imaginary(n: int, m: int, eps: float) -> complex:
-    """Regularized moment integral over the real x axis and imaginary y axis,
-
-        I_eps = int int x^n y^m e^{-x y} e^{-eps(x^2+s^2)} dx dy,  y = i s,
-
-    with the y axis oriented from +i infinity to -i infinity (the orientation
-    that makes the diagonal value -2 pi i n!).  The s integral is a Gaussian
-    Fourier transform, int s^m e^{-eps s^2 - i x s} ds = i^m (d/dx)^m G(x)
-    with G(x) = sqrt(pi/eps) exp(-x^2/(4 eps)), which leaves a Hermite
-    polynomial against a Gaussian in x.  As eps -> 0 the value converges to
-    -2 pi i delta_{nm} n! with O(eps) error."""
-    return _within(*_real_imaginary(n, m, eps))
 
 
 def _real_imaginary_limit(n: int, m: int, eps: float) -> tuple[complex, float]:
@@ -445,7 +437,9 @@ def moment_unit_interval(n: int, a: Fraction) -> float:
 
 
 def _halfline_pfs(n: int, a: Sequence, b: Sequence) -> tuple:
-    """(value, error estimate): x = t^(-1/delta) - 1 with delta = min a_i - n - 1
+    """(value, error estimate) of int_0^infty x^n pFs(a; b; -x) dx for p <= s
+    and every a_i > n + 1: the moment n lies in the Mellin strip of pFs(-x),
+    0 < Re z < min a_i.  x = t^(-1/delta) - 1 with delta = min a_i - n - 1
     (1 if p = 0) maps the x^(n - min a_i) tail onto an integrand bounded at
     t = 0.  The quadrature stops at the t = tau of x = 10^HALFLINE_X_MAX, past
     which pFs slows down, and tau |f(tau)| bounds the part it leaves out.
@@ -471,12 +465,6 @@ def _halfline_pfs(n: int, a: Sequence, b: Sequence) -> tuple:
     except mpmath.libmp.NoConvergence:
         raise DivergenceError("mpmath's pFs series converges too slowly on the half line") from None
     return float(val), err + cut  # an mpf, since the cut can pass the float range
-
-
-def moment_halfline_pfs(n: int, a: Sequence, b: Sequence) -> float:
-    """int_0^infty x^n pFs(a; b; -x) dx for p <= s and every a_i > n + 1:
-    the moment n lies in the Mellin strip of pFs(-x), 0 < Re z < min a_i."""
-    return _within(*_halfline_pfs(n, a, b))
 
 
 def halfline_exact(n: int, a: Sequence, b: Sequence) -> Fraction:

@@ -399,10 +399,6 @@ class PolySeries:
                 out[sum(map(mul, e, units))] = v
         return PolySeries._reduced(ring, out, self._den)
 
-    def to_json_dict(self) -> dict:
-        """{"e1,e2,...": "num/den"} with keys sorted, for stable output."""
-        return {",".join(map(str, e)): _num_den(c) for e, c in sorted(self.terms.items())}
-
     def __repr__(self):
         if not self._nums:
             return "0"
@@ -655,20 +651,44 @@ _strip_table_size = 0
 _NO_STRIPS = ((), ())
 
 
+def _unpadded(beads: int) -> int:
+    """Drop the run of occupied sites at the bottom of a padded bead mask."""
+    return beads >> (~beads & (beads + 1)).bit_length() - 1
+
+
+def _bead_moves(mask: int, shift: int) -> list[tuple[int, int, int]]:
+    """Every single-particle move b -> b - shift on the bead mask ``mask``,
+    sources in descending order, as (source bit, sign, canonical new mask).
+
+    For shift < 0 the mask is first padded with -shift sea beads, the only
+    ones below bit 0 that can rise to a free site, so a source bit may be
+    negative; the sign is (-1)^(beads strictly between source and target),
+    for shift = m > 0 that of the m-strip the move removes.
+    """
+    pad = -shift if shift < 0 else 0
+    beads = mask << pad | (1 << pad) - 1
+    if shift > 0:
+        movable = beads & ~(beads << shift) & ~((1 << shift) - 1)
+    else:
+        movable = beads & ~(beads >> pad)
+    out = []
+    while movable:
+        src = movable.bit_length() - 1
+        movable ^= 1 << src
+        dst = src - shift
+        lo, hi = (dst, src) if shift > 0 else (src, dst)
+        between = (beads >> lo + 1 & (1 << hi - lo - 1) - 1).bit_count()
+        out.append((src - pad, -1 if between & 1 else 1, _unpadded(beads ^ 1 << src ^ 1 << dst)))
+    return out
+
+
 def _strips(key: int, m: int) -> tuple[tuple, tuple]:
     """The partitions left by removing a border strip of size m from the
     partition with bead mask key, as (bead masks with sign +1, bead masks
-    with sign -1): a bead moved from b down to a free b - m, with sign
-    (-1)^height for the beads it passes."""
+    with sign -1), lowest source bead first."""
     plus, minus = [], []
-    movable = key & ~(key << m) & ~((1 << m) - 1)  # beads b >= m with b - m free
-    between = (1 << (m - 1)) - 1
-    while movable:
-        low = movable & -movable
-        movable ^= low
-        nu = key ^ low ^ (low >> m)
-        nu >>= (~nu & (nu + 1)).bit_length() - 1  # beads at 0, 1, ... are zero parts
-        (minus if (key >> (low.bit_length() - m) & between).bit_count() & 1 else plus).append(nu)
+    for _, sign, nu in reversed(_bead_moves(key, m)):
+        (plus if sign > 0 else minus).append(nu)
     return (tuple(plus), tuple(minus)) if plus or minus else _NO_STRIPS
 
 
@@ -979,9 +999,6 @@ class Poly1:
         if any(c != 0 for c in self.coeffs[:k]):
             raise ValueError("not divisible by x^k")
         return Poly1(self.coeffs[k:])
-
-    def is_even(self) -> bool:
-        return all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 1)
 
     def __repr__(self):
         if not self.coeffs:

@@ -36,11 +36,11 @@ from .symfun import (
 from .weights import (
     ContentFunction,
     ContentPoleError,
-    ContentZeroError,
     QRationalContent,
     RationalContent,
     _OneMinusPowers,
     content_product,
+    det_two_side_prefactor,
 )
 
 # -- side specializations -------------------------------------------------
@@ -544,20 +544,6 @@ def det_rep_one_side(
     return DetRepResult(lhs, rhs, Fraction(1))
 
 
-def det_two_side_prefactor(r: ContentFunction, M: int, N: int) -> Fraction:
-    """Constant relating Delta(x) Delta(y) tau to det(kernel):
-    prod_{v=M-N+1}^{M-1} r(v)^(v-M), pinned by matching the leading
-    coefficient (equivalently the N=1 and r=1 degenerations).
-    """
-    out = Fraction(1)
-    for v in range(M - N + 1, M):
-        rv = r(v)
-        if rv == 0:
-            raise ContentZeroError(f"det prefactor needs r({v}) != 0")
-        out *= rv ** (v - M)
-    return out
-
-
 def det_rep_two_side(r: ContentFunction, M: int, N: int, D: int) -> DetRepResult:
     """Wick-type determinant identity on both eigenvalue sets:
 
@@ -604,18 +590,6 @@ def det_rep_two_side(r: ContentFunction, M: int, N: int, D: int) -> DetRepResult
     return DetRepResult(lhs, rhs, pref)
 
 
-def deriv_det_prefactor(r: ContentFunction, n: int) -> Fraction:
-    """prod_{v=1}^{n-1} r(v)^(v-n) for the derivative-determinant identity
-    (the k = 0 factor is absent because r(0) = 0)."""
-    out = Fraction(1)
-    for v in range(1, n):
-        rv = r(v)
-        if rv == 0:
-            raise ContentZeroError(f"derivative determinant needs r({v}) != 0")
-        out *= rv ** (v - n)
-    return out
-
-
 def det_rep_derivatives(r: ContentFunction, n: int, D: int) -> DetRepResult:
     """For r(0) = 0 and n > 0:
 
@@ -646,7 +620,7 @@ def det_rep_derivatives(r: ContentFunction, n: int, D: int) -> DetRepResult:
                 ent = ent.diff(J)
             row.append(ent.truncate(check))
         rows.append(row)
-    pref = deriv_det_prefactor(r, n)
+    pref = det_two_side_prefactor(r, n, n)  # r(0) = 0 leaves v = 0 out
     rhs = _det(rows) * pref
     lhs = tau_series(TauSpec(r, n, Formal(), Formal()), D).as_polyseries(check)
     return DetRepResult(lhs, rhs, pref)

@@ -362,17 +362,23 @@ def q_pochhammer_partition(c: int, q, lam: Partition) -> Fraction:
     return out
 
 
+def det_two_side_prefactor(r: ContentFunction, M: int, N: int) -> Fraction:
+    """prod_{v=M-N+1}^{M-1} r(v)^(v-M), the constant of the determinant
+    identities: N = M + 1 gives c_M, N = M the derivative determinant's."""
+    out = Fraction(1)
+    for v in range(M - N + 1, M):
+        rv = r(v)
+        if rv == 0:
+            raise ContentZeroError(f"prod r(v)^(v-{M}) needs r({v}) != 0")
+        out *= rv ** (v - M)
+    return out
+
+
 def c_constant(r: ContentFunction, n: int) -> Fraction:
     """c_n = prod_{k=0}^{n-1} r(k)^(k-n); needs r nonzero on [0, n-1]."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = Fraction(1)
-    for k in range(n):
-        v = r(k)
-        if v == 0:
-            raise ContentZeroError(f"c_n undefined: r({k}) = 0")
-        out *= v ** (k - n)
-    return out
+    return det_two_side_prefactor(r, n, n + 1)
 
 
 def rational_r_decomposition(r: ContentFunction, n: int, lam: Partition, K: Optional[int] = None) -> dict:

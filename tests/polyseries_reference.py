@@ -165,3 +165,8 @@ def ref_schur_expansion(ring, coeffs, sides):
             for eu, fu, cu in columns:
                 out[et + eu] = F(sum(map(mul, weighted, cu)), L * ft * fu)
     return RefSeries(ring, out)
+
+
+def is_even(p):
+    """A Poly1 with no odd power of its variable."""
+    return all(c == 0 for c in p.coeffs[1::2])

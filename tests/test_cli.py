@@ -182,7 +182,7 @@ def test_oracle_mc_bad_input_exit_two(capsys):
     code = main(["oracle", "unitary-mc", "--samples", "0"])
     assert code == 2 and "samples" in capsys.readouterr().err
     code = main(["oracle", "ginibre", "--A", "1,1/2,1/4"])
-    assert code == 2 and "A and B" in capsys.readouterr().err
+    assert code == 2 and "argument --A: invalid value '1,1/2,1/4' (needs --n 2 entries)" in capsys.readouterr().err
 
 
 def test_csv_format(capsys):
@@ -309,6 +309,7 @@ BAD_INPUTS = [
     ("--b", ["hyper", "two", "--a=1/2", "--b=-2", "--x=1/2,1/3", "--y=1/5,1/7", "--deg", "6"]),
     # a negative length cap
     ("--n", ["model", "unitary", "--n=-2", "--deg", "2"]),
+    ("--n", ["model", "gw", "--n=-1"]),
     ("--n", ["model", "gen43", "--kind", "complex", "--a", "1", "--n=-1", "--deg", "2"]),
     # no eigenvalues for the det check; hirota and symmetry take any charge
     ("--n", ["verify", "det", "--n=-5"]),
@@ -322,6 +323,22 @@ BAD_INPUTS = [
     ("--u", ["model", "nmm", "--deg", "3"]),
     # n! past the float range, rejected before the quadrature runs
     ("--moment", ["oracle", "mu", "--contour", "imag", "--moment", "200"]),
+    # a formal side's K is a non-negative integer
+    ("--t", TAU + ["--r", "one", "--t", "t:abc", "--tstar", "t:2"]),
+    ("--tstar", TAU + ["--r", "one", "--t", "t:2", "--tstar", "t:-1"]),
+    # parameters the chosen kind needs but the command line leaves out
+    ("--a", ["model", "gen43", "--kind", "hciz"]),
+    ("--a", ["model", "gen43", "--kind", "complex"]),
+    ("--rtilde", ["model", "gen43", "--kind", "gw", "--a", "1"]),
+    ("--rtilde", ["model", "gen43", "--kind", "gw_unit"]),
+    # sizes that do not fit the matrix size or the other eigenvalue list
+    ("--l", ["oracle", "unitary-mc", "--l", "[1,1,1]", "--n", "2"]),
+    ("--mu", ["oracle", "ginibre", "--mu", "[1,1,1]", "--n", "2"]),
+    ("--A", ["oracle", "ginibre", "--A", "1", "--n", "2"]),
+    ("--B", ["oracle", "unitary-mc", "--B", "1,1/2,1/3", "--n", "2"]),
+    ("--y", ["hyper", "two", "--x", "1/2,1/3", "--y", "1/5", "--deg", "2"]),
+    ("--y", ["hyper", "qphi", "--q", "1/3", "--x", "1/2", "--y", "1/5,1/7", "--deg", "2"]),
+    ("--x", ["model", "gw", "--n", "1", "--x", "1/2,1/3"]),
 ]
 
 
@@ -330,6 +347,25 @@ def test_bad_value_exits_two_naming_its_option(capsys, option, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"argument {option}: invalid value" in err, err
+
+
+def _model_defaults():
+    """Every `model` choice with its default options, gen43 once per --kind."""
+    sub = next(a for a in cli.build_parser()._subparsers._group_actions if a.dest == "command")
+    choices = {a.dest: a.choices for a in sub.choices["model"]._actions}
+    return [["model", w] for w in choices["which"] if w != "gen43"] + [
+        ["model", "gen43", "--kind", k] for k in choices["kind"]
+    ]
+
+
+@pytest.mark.parametrize("argv", _model_defaults(), ids=" ".join)
+def test_every_model_with_default_options_exits_zero_or_two(capsys, argv):
+    # an exception escaping main would be a traceback and exit 1
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: argument --"), err
 
 
 NEGATIVE_DEG = [

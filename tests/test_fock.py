@@ -317,6 +317,9 @@ def test_psi_apply_equals_reference(v, site, create):
 def test_state_round_trips(lam, n, depth, op):
     st_ = FockState(lam, n)
     assert st_.lam == lam and st_.weight == lam.weight
+    # a state is the tuple (charge, bead mask, weight), hashed as one
+    assert st_ == (n, sum(1 << b for b in fock_reference.maya(lam, lam.length, 1)), lam.weight)
+    assert FockState.__hash__ is tuple.__hash__
     floor = n - lam.length - depth
     assert fock_reference.state_maya(st_, floor) == fock_reference.maya(lam, n, floor)
     with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from taukit.tau import (
     det_rep_derivatives,
     det_rep_one_side,
     det_rep_two_side,
-    deriv_det_prefactor,
     det_two_side_prefactor,
     hirota_residual,
     hyper_pfs,
@@ -476,7 +475,7 @@ def derivative_determinant_2j(r, n, D):
                     ent = ent.diff(i)
             row.append(ent)
         rows.append(row)
-    return _det(rows) * deriv_det_prefactor(r, n)
+    return _det(rows) * det_two_side_prefactor(r, n, n)
 
 
 def hirota_full_ring(r, n, D):
