@@ -8,7 +8,7 @@ quadrature oracles for every identity it claims.
 
 __version__ = "0.1.0"
 
-from .partitions import Partition, SkewShape, enumerate_partitions, from_frobenius
+from .partitions import Partition, enumerate_partitions, from_frobenius
 from .symfun import (
     PolyRing,
     PolySeries,
@@ -16,15 +16,12 @@ from .symfun import (
     Times,
     cauchy_truncated,
     characters,
-    e_list,
     exp_series,
     h_list,
     miwa,
     schur,
     schur_expansion,
     schur_from_eigenvalues,
-    skew_schur,
-    standard_product,
 )
 from .weights import (
     ConstantOneContent,
@@ -36,17 +33,11 @@ from .weights import (
     QRationalContent,
     RationalContent,
     TabulatedContent,
-    c_constant,
     content_product,
     hook_product,
-    hook_product_q,
     parse_content,
     pochhammer,
-    pochhammer_partition,
-    q_pochhammer,
-    q_pochhammer_partition,
     rational_r_decomposition,
-    skew_content_product,
 )
 from .tau import (
     Eigs,
@@ -56,7 +47,6 @@ from .tau import (
     TauSpec,
     TInf,
     WeightA,
-    baker_akhiezer,
     baker_akhiezer_dual,
     det_rep_derivatives,
     det_rep_one_side,

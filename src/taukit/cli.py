@@ -243,6 +243,7 @@ def cmd_model(args) -> int:
         _emit(args, {"model": "two-matrix", "n": args.n, "coefficients": ts.to_json()})
         return 0
     if which == "hciz":
+        _require(args.n >= 1, "--n", [args.n], "the hciz identity needs n >= 1 eigenvalues on each side")
         res = models_mod.hciz(args.n, args.deg)
         ok = res.matches()
         _emit(args, {"model": "hciz", "n": args.n, "deg": args.deg, "series_equals_determinant": ok})
@@ -362,14 +363,13 @@ def cmd_oracle(args) -> int:
         _emit(args, rep)
         return 0 if rep["pass"] else 1
     if which == "wick":
-        powers = _joined(args.powers)
         try:
             poly = oracle_mod.wick_gaussian_moment(args.powers)
         except ValueError as exc:
-            raise ValueError(f"--powers {powers!r}: {exc}") from None
+            raise _bad_value("--powers", args.powers, exc) from None
         _emit(args, {
             "oracle": "wick",
-            "powers": powers,
+            "powers": _joined(args.powers),
             "N_polynomial": [_num_den(c) for c in poly.coeffs],
             "note": "multiply by (N g)^(-sum/2) for the quartic propagator",
         })

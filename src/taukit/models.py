@@ -120,40 +120,18 @@ def pochhammer_poly(lam: Partition) -> Poly1:
     return out
 
 
-class QuarticModelParams:
-    """Matrix size N >= 1 and couplings (g, g4) with g != 0."""
-
-    def __init__(self, N: int, g, g4):
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        g = _as_fraction(g)
-        if g == 0:
-            raise ValueError("g must be nonzero")
-        self.N = N
-        self.g = g
-        self.g4 = _as_fraction(g4)
-
-
 class ModelSeries:
     """Coefficient table of a normalized model partition function.
 
     ``orders[k]`` is the exact coefficient of (g4/g^2)^k as a polynomial in
-    N; ``evaluate`` substitutes numeric parameters.
+    N.
     """
 
-    def __init__(self, orders: list[Poly1], provenance: str):
+    def __init__(self, orders: list[Poly1]):
         self.orders = orders
-        self.provenance = provenance
 
     def coefficient(self, k: int) -> Poly1:
         return self.orders[k]
-
-    def evaluate(self, params: QuarticModelParams) -> Fraction:
-        total = Fraction(0)
-        ratio = params.g4 / params.g**2
-        for k, p in enumerate(self.orders):
-            total += p(params.N) * ratio**k
-        return total
 
     def to_json(self) -> dict:
         return {
@@ -177,7 +155,7 @@ def quartic_series(order: int) -> ModelSeries:
     for k in range(1, order + 1):
         acc = sum(map(quartic_contribution, partitions_of(4 * k)), Poly1())
         orders.append(acc.shift_divide(k) * Fraction((-1) ** k, 16**k))  # divide by N^k; exact
-    return ModelSeries(orders, "quartic via two-matrix specialization")
+    return ModelSeries(orders)
 
 
 def quartic_contribution(lam: Partition) -> Poly1:
@@ -280,6 +258,8 @@ def generalized_angle_integral(
     """
     if rt is None and kind in ("gw", "gw_unit"):
         raise ValueError(f"{kind} needs rtilde")
+    if a is None and kind in ("hciz", "complex", "gw"):
+        raise ValueError(f"{kind} needs a")
     if kind == "hciz":
         comp = angle_hciz_average(r, a, n)
     elif kind == "complex":

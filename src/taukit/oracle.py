@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .partitions import Partition
 from .symfun import Poly1, _as_fraction, _num_den, schur_from_eigenvalues
-from .weights import ContentFunction, hook_product, pochhammer
+from .weights import hook_product, pochhammer
 
 BLOCK = 1000  # samples per RNG stream; part of the determinism contract
 ZERO_VARIANCE_RTOL = 1e-12  # verdict tolerance for an estimate with std_error 0
@@ -473,19 +473,3 @@ def halfline_exact(n: int, a: Sequence, b: Sequence) -> Fraction:
     den = math.prod(pochhammer(1 - _as_fraction(x), n + 1) for x in a)
     return (-1) ** ((n + 1) * (len(a) - len(b))) * num / den
 
-
-def mu_series_coeffs(r: ContentFunction, D: int) -> list[Fraction]:
-    """The formal measure series mu_r(x) = 1 + x/r(-1) + x^2/(r(-1)r(-2)) + ...
-    (requires r(0) = 0 and r(-m) != 0 on the window)."""
-    out = [Fraction(1)]
-    for m in range(1, D + 1):
-        if (rm := r(-m)) == 0:
-            raise ZeroDivisionError(f"r(-{m}) = 0: measure series undefined")
-        out.append(out[-1] / rm)
-    return out
-
-
-def mu_annihilation_residual(coeffs: Sequence[Fraction], r: ContentFunction) -> list[Fraction]:
-    """Residual of (1 - (1/x) r(-D_x)) mu through degree D-1:
-    coefficient at x^m is c_m - c_{m+1} r(-(m+1))."""
-    return [coeffs[m] - coeffs[m + 1] * r(-(m + 1)) for m in range(len(coeffs) - 1)]

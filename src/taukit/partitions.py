@@ -92,17 +92,6 @@ class Partition:
         """The statistic sum_i (i-1) * lambda_i."""
         return sum((i - 1) * p for i, p in enumerate(self.parts, start=1))
 
-    def multiplicities(self) -> dict[int, int]:
-        """How many parts equal each value."""
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    def contains(self, inner: "Partition") -> bool:
-        """Cell-wise containment: inner_i <= self_i for all rows."""
-        return all(inner.part(i) <= self.part(i) for i in range(1, inner.length + 1))
-
     # -- dunder plumbing -----------------------------------------------
 
     def __iter__(self):
@@ -172,42 +161,6 @@ def from_frobenius(alphas, betas) -> Partition:
             # below the diagonal block: hook k fills column k down to row k + beta_k
             parts.append(sum(1 for k, b in enumerate(betas, start=1) if k + b >= i))
     return Partition(parts)
-
-
-class SkewShape:
-    """A pair of nested partitions outer/inner."""
-
-    __slots__ = ("outer", "inner")
-
-    def __init__(self, outer: Partition, inner: Partition):
-        if not outer.contains(inner):
-            raise ValueError(f"inner {inner} not contained in outer {outer}")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SkewShape is immutable")
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for i in range(1, self.outer.length + 1):
-            for j in range(self.inner.part(i) + 1, self.outer.part(i) + 1):
-                yield (i, j)
-
-    def weight(self) -> int:
-        return self.outer.weight - self.inner.weight
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SkewShape)
-            and self.outer == other.outer
-            and self.inner == other.inner
-        )
-
-    def __hash__(self):
-        return hash((self.outer, self.inner))
-
-    def __repr__(self):
-        return f"SkewShape({self.outer}/{self.inner})"
 
 
 # The part tuples of a weight depend on nothing but (n, max_part, max_len),

@@ -19,13 +19,13 @@ every result is divided by the gcd of its numerators and denominator.  The
 public ``PolySeries(ring, {exponent tuple: coefficient})`` and the read-only
 ``terms`` view speak in exponent tuples and Fractions.
 
-One border-strip engine evaluates every Schur function of a Times: s_lambda,
-s_{lambda/mu}, h_k = s_(k) and e_k = s_(1^k), by the Murnaghan-Nakayama
-recursion on bead masks, memoised on the Times and run on integers when the
-times are rational.  Schur series in formal times, sum c_lambda s_lambda(t)
-and sum c_lambda s_lambda(t) s_lambda(t*), are expanded by ``schur_expansion``
-from the integer character tables ``characters(d)``, built by the same strip
-removal: [t^e] s_lambda = chi^lambda_mu / prod_m e_m!, one block per degree.
+One border-strip engine evaluates every Schur function of a Times, s_lambda
+and h_k = s_(k), by the Murnaghan-Nakayama recursion on bead masks, memoised
+on the Times and run on integers when the times are rational.  Schur series
+in formal times, sum c_lambda s_lambda(t) and sum c_lambda s_lambda(t)
+s_lambda(t*), are expanded by ``schur_expansion`` from the integer character
+tables ``characters(d)``, built by the same strip removal: [t^e] s_lambda =
+chi^lambda_mu / prod_m e_m!, one block per degree.
 Eigenvalue specializations are the engine at the Miwa times of the eigenvalues.
 """
 
@@ -39,7 +39,7 @@ from math import factorial, gcd, lcm, perm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .partitions import Partition, SkewShape, enumerate_partitions, partitions_of
+from .partitions import Partition, enumerate_partitions, partitions_of
 
 Scalar = Union[int, Fraction]
 
@@ -93,10 +93,10 @@ class PolyRing:
         self._units = tuple((1 << o) + (w << off) for (o, _), w in zip(fields, self.weights))
 
     @classmethod
-    def times_ring(cls, K: int, cap: Optional[int] = None, prefix: str = "t") -> "PolyRing":
+    def times_ring(cls, K: int, cap: Optional[int] = None) -> "PolyRing":
         """Ring of t_1..t_K with weight(t_m) = m."""
         return cls(
-            [f"{prefix}{m}" for m in range(1, K + 1)],
+            [f"t{m}" for m in range(1, K + 1)],
             list(range(1, K + 1)),
             K if cap is None else cap,
         )
@@ -377,27 +377,19 @@ class PolySeries:
                 out[k] = v
         return PolySeries._reduced(self.ring, out, den)
 
-    def rename_swap(self, perm: Sequence[int]) -> "PolySeries":
-        """Permute variable slots: new exponent vector e'[perm[i]] = e[i]."""
+    def swap_blocks(self) -> "PolySeries":
+        """Exchange the lower and the upper half of the variables, as t and t*
+        in a bivariate times ring.  The two halves must carry the same
+        weights, so they share one layout: two masks and two shifts swap them."""
         ring = self.ring
-        n = ring.nvars()
-        half = n // 2
-        if list(perm) == [*range(half, n), *range(half)] and ring.weights[:half] == ring.weights[half:]:
-            # the two blocks share one layout: swap them with two masks and two shifts
-            top = ring._shift
-            width = top // 2
-            low = (1 << width) - 1
-            out = {k >> top << top | (k & low) << width | k >> width & low: v for k, v in self._nums.items()}
-            return PolySeries._of(ring, out, self._den)
-        unpack, units, weights = ring._unpack, ring._units, ring.weights
-        out = {}
-        for k, v in self._nums.items():
-            e = [0] * n
-            for i, ei in enumerate(unpack(k)):
-                e[perm[i]] = ei
-            if sum(map(mul, e, weights)) <= ring.cap:
-                out[sum(map(mul, e, units))] = v
-        return PolySeries._reduced(ring, out, self._den)
+        half = ring.nvars() // 2
+        if ring.weights[:half] != ring.weights[half:]:
+            raise ValueError(f"the two halves of {ring} carry different weights")
+        top = ring._shift
+        width = top // 2
+        low = (1 << width) - 1
+        out = {k >> top << top | (k & low) << width | k >> width & low: v for k, v in self._nums.items()}
+        return PolySeries._of(ring, out, self._den)
 
     def __repr__(self):
         if not self._nums:
@@ -525,7 +517,7 @@ class Times:
     def __init__(self, entries: Sequence):
         self.entries = tuple(entries)
         self.K = len(self.entries)
-        self._memo: dict[int, dict] = {}  # bead mask of the inner shape -> {bead mask: S}
+        self._memo: dict[int, object] = {0: 1}  # bead mask -> S
         self._levels: list[tuple] = []  # by degree d: (d! c^d, steps of a shape of size d)
         times = [(m, x) for m, x in enumerate(self.entries, start=1) if x]
         c = 1
@@ -575,9 +567,6 @@ class Times:
         q = _as_fraction(q)
         return cls([Fraction(1, 1) / (m * (1 - q**m)) for m in range(1, K + 1)])
 
-    def negate(self) -> "Times":
-        return Times([-e for e in self.entries])
-
     def __repr__(self):
         return f"Times({list(self.entries)})"
 
@@ -593,12 +582,6 @@ def h_list(t: Times, D: int) -> list:
     """h_0..h_D, exp(sum_m t_m z^m) = sum_k h_k z^k: the engine on s_(k) is
     Newton's k h_k = sum_m m t_m h_{k-m}."""
     return [_schur_value(t, 1 << k if k else 0, k) for k in range(D + 1)]
-
-
-def e_list(t: Times, D: int) -> list:
-    """e_0..e_D, e_k(t) = (-1)^k h_k(-t): the engine on s_(1^k) is
-    k e_k = sum_m (-1)^(m-1) m t_m e_{k-m}."""
-    return [_schur_value(t, ((1 << k) - 1) << 1, k) for k in range(D + 1)]
 
 
 def _det(rows: list[list]) -> object:
@@ -705,24 +688,23 @@ def _kept_strips(key: int, m: int) -> tuple[tuple, tuple]:
     return out
 
 
-def _schur_numerator(t: Times, key: int, e: int, inner: int = 0) -> tuple[object, int]:
-    """(S, e! c^e) with s_{nu/mu}(t) = S / (e! c^e) for the bead masks key of
-    nu and inner of mu, e = |nu| - |mu|, and c the scale of the times.
+def _schur_numerator(t: Times, key: int, e: int) -> tuple[object, int]:
+    """(S, e! c^e) with s_nu(t) = S / (e! c^e) for the bead mask key of nu,
+    e = |nu|, and c the scale of the times.
 
-    e s_{nu/mu} = sum_m m t_m sum_{m-strips S of nu} (-1)^ht(S) s_{(nu-S)/mu},
-    as d/dt_m removes m-strips and sum_m m t_m d/dt_m is the weighted degree
-    (Macdonald, Symmetric Functions, I.5, I.7); s_{mu/mu} = 1 and every other
-    shape of size |mu| gives 0.  The memo on t holds S = e! c^e s, so
-    S_nu = sum_m m t_m c^m (e-1)!/(e-m)! sum_S (-1)^ht(S) S_(nu-S) needs no
-    division, and with rational times (c as ``Times`` picks it, else 1) S is
-    an integer.
+    e s_nu = sum_m m t_m sum_{m-strips S of nu} (-1)^ht(S) s_(nu-S), as
+    d/dt_m removes m-strips and sum_m m t_m d/dt_m is the weighted degree
+    (Macdonald, Symmetric Functions, I.5, I.7); s_0 = 1.  The memo on t holds
+    S = e! c^e s, so S_nu = sum_m m t_m c^m (e-1)!/(e-m)! sum_S (-1)^ht(S)
+    S_(nu-S) needs no division, and with rational times (c as ``Times``
+    picks it, else 1) S is an integer.
     """
     levels = t._levels
     while len(levels) <= e:  # a shape of size d takes m-strips with weight m t_m c^m (d-1)!/(d-m)!
         d = len(levels)
         steps = tuple((m, w * perm(d - 1, m - 1), _STRIP_TABLE.setdefault(m, {})) for m, w in t._steps if m <= d)
         levels.append((levels[-1][0] * d * t._scale if d else 1, steps))
-    memo = t._memo.setdefault(inner, {inner: 1})
+    memo = t._memo
     if key not in memo:
         get = memo.__getitem__
         todo = [(key, e)]
@@ -731,7 +713,7 @@ def _schur_numerator(t: Times, key: int, e: int, inner: int = 0) -> tuple[object
             if nu in memo:
                 todo.pop()
                 continue
-            steps = levels[d][1]  # none at d = 0: S = 0 for any nu but the seeded inner
+            steps = levels[d][1]  # d > 0: the only shape of size 0 is the seeded empty one
             total = 0
             try:
                 for m, w, table in steps:
@@ -748,27 +730,15 @@ def _schur_numerator(t: Times, key: int, e: int, inner: int = 0) -> tuple[object
     return memo[key], levels[e][0]
 
 
-def _schur_value(t: Times, key: int, e: int, inner: int = 0):
-    """s_{nu/mu}(t) = S / (e! c^e) from ``_schur_numerator``."""
-    value, den = _schur_numerator(t, key, e, inner)
+def _schur_value(t: Times, key: int, e: int):
+    """s_nu(t) = S / (e! c^e) from ``_schur_numerator``."""
+    value, den = _schur_numerator(t, key, e)
     return value * Fraction(1, den)
 
 
 def schur(lam: Partition, t: Times) -> object:
     """Schur function s_lambda(t) by the border-strip recursion; s_0 = 1."""
     return _schur_value(t, _key(lam.parts), lam.weight)
-
-
-def skew_schur(shape, t: Times) -> object:
-    """Skew Schur function s_{lambda/mu}(t) by the border-strip recursion, for
-    a SkewShape or an (outer, inner) pair; zero unless inner lies in outer."""
-    if isinstance(shape, SkewShape):
-        lam, mu = shape.outer, shape.inner
-    else:
-        lam, mu = shape
-    if not lam.contains(mu):
-        return Fraction(0)
-    return _schur_value(t, _key(lam.parts), lam.weight - mu.weight, _key(mu.parts))
 
 
 def schur_from_eigenvalues(lam: Partition, xs: Sequence) -> Fraction:
@@ -778,29 +748,6 @@ def schur_from_eigenvalues(lam: Partition, xs: Sequence) -> Fraction:
     if lam.length > len(xs):
         return Fraction(0)
     return schur(lam, miwa(xs, max(lam.weight, 1)))
-
-
-def standard_product(f: PolySeries, g: PolySeries) -> Fraction:
-    """The power-sum scalar product <,> on polynomials in t_1..t_K.
-
-    On monomials t^e it is diagonal with value prod_m e_m! / m^{e_m}
-    (equivalent to <p_lambda, p_mu> = delta z_lambda).  The ring's variables
-    must be times t_m with weight m.
-    """
-    if f.ring != g.ring:
-        raise ValueError("scalar product needs a common ring")
-    weights, unpack = f.ring.weights, f.ring._unpack
-    total = Fraction(0)
-    for k, vf in f._nums.items():
-        vg = g._nums.get(k)
-        if vg is None:
-            continue
-        z = Fraction(vf * vg)
-        for em, m in zip(unpack(k), weights):
-            if em:
-                z *= Fraction(factorial(em), m**em)
-        total += z
-    return total / (f._den * g._den)
 
 
 @cache

@@ -3,8 +3,7 @@
 A content function is an exact map k -> r(k) on an integer window.  The
 weight of a partition at charge n is the product of r over the shifted
 contents, r_lambda(n) = prod_{(i,j) in lambda} r(n + j - i); together with
-hook products and partition Pochhammer symbols these drive every series in
-the package.
+hook products and Pochhammer symbols these drive every series in the package.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .partitions import Partition, SkewShape
+from .partitions import Partition
 from .symfun import Times, _as_fraction, _num_den, schur
 
 
@@ -288,37 +287,11 @@ def _pair_sum(pairs) -> Fraction:
     return Fraction(num, den)
 
 
-def skew_content_product(r: ContentFunction, n: int, shape: SkewShape) -> Fraction:
-    """Product of r(n + j - i) over the skew cells only."""
-    out = Fraction(1)
-    for (i, j) in shape.cells():
-        try:
-            v = r(n + j - i)
-        except ContentPoleError as exc:
-            raise ContentPoleError(
-                f"pole at skew cell ({i},{j}): argument {n + j - i}"
-            ) from exc
-        out *= v
-    return out
-
-
 def hook_product(lam: Partition) -> int:
     """H_lambda = product of hook lengths."""
     out = 1
     for h in lam.hooks():
         out *= h
-    return out
-
-
-def hook_product_q(lam: Partition, q) -> Fraction:
-    """H_lambda(q) = prod (1 - q^h) over hooks."""
-    q = _as_fraction(q)
-    out = Fraction(1)
-    for h in lam.hooks():
-        f = 1 - q**h
-        if f == 0:
-            raise ContentZeroError(f"q is a root of unity at hook {h}")
-        out *= f
     return out
 
 
@@ -328,37 +301,6 @@ def pochhammer(a, n: int) -> Fraction:
     out = Fraction(1)
     for i in range(n):
         out *= a + i
-    return out
-
-
-def q_pochhammer(b, q, n: int) -> Fraction:
-    """(b; q)_n = (1-b)(1-bq)...(1-b q^(n-1)); (b; q)_0 = 1."""
-    b, q = _as_fraction(b), _as_fraction(q)
-    out = Fraction(1)
-    for i in range(n):
-        out *= 1 - b * q**i
-    return out
-
-
-def pochhammer_partition(a, lam: Partition) -> Fraction:
-    """(a)_lambda = (a)_{l1} (a-1)_{l2} ... (a-k+1)_{lk}.
-
-    Agrees with the content product of r(k) = k + a at charge 0.
-    """
-    a = _as_fraction(a)
-    out = Fraction(1)
-    for i, p in enumerate(lam.parts, start=1):
-        out *= pochhammer(a - i + 1, p)
-    return out
-
-
-def q_pochhammer_partition(c: int, q, lam: Partition) -> Fraction:
-    """(q^c; q)_lambda = prod_i (q^(c-i+1); q)_{l_i}; equals the cell product
-    prod (1 - q^(c + j - i))."""
-    q = _as_fraction(q)
-    out = Fraction(1)
-    for i, p in enumerate(lam.parts, start=1):
-        out *= q_pochhammer(q ** (c - i + 1), q, p)
     return out
 
 
@@ -372,13 +314,6 @@ def det_two_side_prefactor(r: ContentFunction, M: int, N: int) -> Fraction:
             raise ContentZeroError(f"prod r(v)^(v-{M}) needs r({v}) != 0")
         out *= rv ** (v - M)
     return out
-
-
-def c_constant(r: ContentFunction, n: int) -> Fraction:
-    """c_n = prod_{k=0}^{n-1} r(k)^(k-n); needs r nonzero on [0, n-1]."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return det_two_side_prefactor(r, n, n + 1)
 
 
 def rational_r_decomposition(r: ContentFunction, n: int, lam: Partition, K: Optional[int] = None) -> dict:

@@ -18,6 +18,8 @@ from taukit.fock import FockState, FockVector, WindowOverflowError, _family_powe
 from taukit.partitions import Partition, partitions_of
 from taukit.symfun import _key
 
+from schur_reference import multiplicities
+
 
 def maya(lam, charge, floor):
     """Occupied sites >= floor, descending: n + lam_i - i for i >= 1."""
@@ -154,7 +156,7 @@ def h_of_operators(k, family, r, v):
         w = v
         for part in mu.parts:
             w = _applied(_family_power(family, part, r), w)
-        pieces.append((F(1, prod(i**m * factorial(m) for i, m in mu.multiplicities().items())), w))
+        pieces.append((F(1, prod(i**m * factorial(m) for i, m in multiplicities(mu).items())), w))
     return _sum(pieces, v.cutoff)
 
 

@@ -1,12 +1,17 @@
 """Reference routes for the tests: one Fraction per cell, per q-power and per
 term, as the library computed them before its integer-pair routes.  They
 share no code with the row-window, bead-mask and q-power-table routes of
-``taukit``; a pole raises the same ContentPoleError message."""
+``taukit``; a pole raises the same ContentPoleError message.  Also the
+products over skew cells, hooks and rows (q-hook products and partition
+Pochhammer symbols) and the one-variable moment-measure series, which the
+tests compare the library against and the library itself does not need."""
 
 from fractions import Fraction as F
 
 from taukit.partitions import partitions_of
-from taukit.weights import ContentPoleError, content_product
+from taukit.weights import ContentPoleError, ContentZeroError, content_product, pochhammer
+
+from schur_reference import skew_cells
 
 
 def loop_scalar_product(gs, n, D):
@@ -123,3 +128,65 @@ def q_difference_residual(a, b, q, D, cs=None):
     reference coefficients)."""
     cs = qphi_one_var_coeffs(a, b, q, D) if cs is None else cs
     return [cs[m + 1] * (1 - q ** (m + 1)) - cs[m] * q_rational_value(a, b, q, m) for m in range(D)]
+
+
+def skew_content_product(r, n, shape):
+    """prod of r(n + j - i) over the cells of lam/mu, shape = (lam, mu)."""
+    out = F(1)
+    for i, j in skew_cells(*shape):
+        out *= r(n + j - i)
+    return out
+
+
+def hook_product_q(lam, q):
+    """H_lambda(q) = prod (1 - q^h) over the hooks."""
+    out = F(1)
+    for h in lam.hooks():
+        f = 1 - q**h
+        if f == 0:
+            raise ContentZeroError(f"q is a root of unity at hook {h}")
+        out *= f
+    return out
+
+
+def q_pochhammer(b, q, n):
+    """(b; q)_n = (1-b)(1-bq)...(1-b q^(n-1)); (b; q)_0 = 1."""
+    out = F(1)
+    for i in range(n):
+        out *= 1 - b * q**i
+    return out
+
+
+def pochhammer_partition(a, lam):
+    """(a)_lambda = (a)_{l1} (a-1)_{l2} ... (a-k+1)_{lk}, the content product
+    of r(k) = k + a at charge 0."""
+    out = F(1)
+    for i, p in enumerate(lam.parts, start=1):
+        out *= pochhammer(a - i + 1, p)
+    return out
+
+
+def q_pochhammer_partition(c, q, lam):
+    """(q^c; q)_lambda = prod_i (q^(c-i+1); q)_{l_i}, the cell product
+    prod (1 - q^(c + j - i))."""
+    out = F(1)
+    for i, p in enumerate(lam.parts, start=1):
+        out *= q_pochhammer(q ** (c - i + 1), q, p)
+    return out
+
+
+def mu_series_coeffs(r, D):
+    """The formal measure series mu_r(x) = 1 + x/r(-1) + x^2/(r(-1)r(-2)) + ...
+    (requires r(0) = 0 and r(-m) != 0 on the window)."""
+    out = [F(1)]
+    for m in range(1, D + 1):
+        if (rm := r(-m)) == 0:
+            raise ZeroDivisionError(f"r(-{m}) = 0: measure series undefined")
+        out.append(out[-1] / rm)
+    return out
+
+
+def mu_annihilation_residual(coeffs, r):
+    """Residual of (1 - (1/x) r(-D_x)) mu through degree D-1: the
+    coefficient at x^m is c_m - c_{m+1} r(-(m+1))."""
+    return [coeffs[m] - coeffs[m + 1] * r(-(m + 1)) for m in range(len(coeffs) - 1)]

@@ -167,6 +167,19 @@ def ref_schur_expansion(ring, coeffs, sides):
     return RefSeries(ring, out)
 
 
+def standard_product(f, g):
+    """The power-sum scalar product on polynomials in times t_m of weight m:
+    diagonal on monomials with <t^e, t^e> = prod_m e_m! / m^{e_m}, so that
+    <p_lambda, p_mu> = delta z_lambda."""
+    assert f.ring == g.ring
+    weights, other = f.ring.weights, g.terms
+    total = F(0)
+    for e, c in f.terms.items():
+        if e in other:
+            total += c * other[e] * prod(F(factorial(k), m**k) for k, m in zip(e, weights))
+    return total
+
+
 def is_even(p):
     """A Poly1 with no odd power of its variable."""
     return all(c == 0 for c in p.coeffs[1::2])

@@ -1,15 +1,32 @@
 """Reference Schur functions for the tests: Newton's recurrences for h and e,
-the Jacobi-Trudi determinants and the bialternant at eigenvalues (Macdonald,
-Symmetric Functions, I.2, I.3, I.5).  They share no code with the
+the Jacobi-Trudi determinants, straight and skew, and the bialternant at
+eigenvalues (Macdonald, Symmetric Functions, I.2, I.3, I.5), with the
+partition helpers the skew shapes need.  They share no code with the
 border-strip engine of ``taukit.symfun`` beyond the generic determinant
 ``_det``."""
 
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import prod
 
 from taukit.partitions import Partition
 from taukit.symfun import _det
+
+
+def contains(lam, mu):
+    """mu lies inside lam, row by row."""
+    return all(m <= lam.part(i) for i, m in enumerate(mu.parts, start=1))
+
+
+def skew_cells(lam, mu):
+    """The cells (i, j) of lam/mu, 1-based, row by row."""
+    return [(i, j) for i in range(1, lam.length + 1) for j in range(mu.part(i) + 1, lam.part(i) + 1)]
+
+
+def multiplicities(lam):
+    """{part: how many parts equal it}."""
+    return Counter(lam.parts)
 
 
 def newton_lists(t, D):

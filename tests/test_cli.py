@@ -319,10 +319,14 @@ BAD_INPUTS = [
     ("--n", ["oracle", "ginibre", "--n", "0"]),
     ("--n", ["oracle", "unitary-mc", "--n", "0"]),
     ("--order", ["model", "quartic", "--order", "-1"]),
+    ("--n", ["model", "hciz", "--n", "0"]),
+    ("--n", ["model", "hciz", "--n=-1"]),
     # the default --u has h_1(u) = 0
     ("--u", ["model", "nmm", "--deg", "3"]),
     # n! past the float range, rejected before the quadrature runs
     ("--moment", ["oracle", "mu", "--contour", "imag", "--moment", "200"]),
+    # a Gaussian moment of odd total power vanishes
+    ("--powers", ["oracle", "wick", "--powers", "3"]),
     # a formal side's K is a non-negative integer
     ("--t", TAU + ["--r", "one", "--t", "t:abc", "--tstar", "t:2"]),
     ("--tstar", TAU + ["--r", "one", "--t", "t:2", "--tstar", "t:-1"]),

@@ -13,11 +13,9 @@ from taukit.weights import (
     RationalContent,
     content_product,
     pochhammer,
-    pochhammer_partition,
 )
 from taukit.models import (
     ModelSeries,
-    QuarticModelParams,
     VanishingMomentError,
     angle_hciz_average,
     gauss_closed_form,
@@ -33,6 +31,7 @@ from taukit.models import (
     unitary_model_series,
 )
 
+from fraction_reference import pochhammer_partition
 from polyseries_reference import is_even
 from schur_reference import bialternant
 
@@ -131,17 +130,6 @@ def test_quartic_reference_values():
     assert qs.coefficient(2) * 256 == Poly1([488, 0, 320, 0, 32])
 
 
-def test_model_series_evaluate():
-    qs = quartic_series(1)
-    params = QuarticModelParams(2, F(1), F(1, 10))
-    val = qs.evaluate(params)
-    assert val == 1 - (F(4, 2) + F(1, 4)) * F(1, 10)
-    with pytest.raises(ValueError):
-        QuarticModelParams(0, 1, 1)
-    with pytest.raises(ValueError):
-        QuarticModelParams(2, 0, 1)
-
-
 def test_hciz_identity():
     assert hciz(2, 6).matches()
     # series at exact eigenvalues: n = 1 is e^{x y}
@@ -225,6 +213,12 @@ def test_angle_integrals():
     gu = generalized_angle_integral("gw_unit", r, 1, 4, rt=rt)
     direct = tau_series(TauSpec(ProductContent([r, rt]), 1, Formal(), Formal()), 4)
     assert dict(gu.items()) == dict(direct.items())
+
+
+@pytest.mark.parametrize("kind", ["hciz", "complex", "gw"])
+def test_generalized_angle_integral_without_a_names_it(kind):
+    with pytest.raises(ValueError, match=f"^{kind} needs a$"):
+        generalized_angle_integral(kind, ONE, 2, 3, rt=ONE)
 
 
 def test_loop_scalar_product():

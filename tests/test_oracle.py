@@ -31,8 +31,6 @@ from taukit.oracle import (
     moment_circle,
     moment_real_imaginary_limit,
     moment_unit_interval,
-    mu_annihilation_residual,
-    mu_series_coeffs,
     quartic_wick_order,
     sample_haar_unitary,
     sample_ginibre_batch,
@@ -41,6 +39,7 @@ from taukit.oracle import (
     wick_gaussian_moment,
 )
 
+from fraction_reference import mu_annihilation_residual, mu_series_coeffs
 from schur_reference import bialternant
 
 A2 = [F(1), F(1, 2)]

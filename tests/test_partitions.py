@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 import taukit.partitions as partitions_mod
 from taukit.partitions import (
     Partition,
-    SkewShape,
     enumerate_partitions,
     from_frobenius,
     partitions_of,
@@ -135,14 +134,6 @@ def test_frobenius_roundtrip(lam):
     assert all(a > b for a, b in zip(al, al[1:]))
     assert all(a > b for a, b in zip(be, be[1:]))
     assert from_frobenius(al, be) == lam
-
-
-def test_skew_shape():
-    sk = SkewShape(Partition([3, 2]), Partition([1]))
-    assert sk.weight() == 4
-    assert list(sk.cells()) == [(1, 2), (1, 3), (2, 1), (2, 2)]
-    with pytest.raises(ValueError):
-        SkewShape(Partition([2]), Partition([3]))
 
 
 def test_order_is_graded_revlex():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import taukit.symfun as symfun_mod
-from taukit.partitions import Partition, SkewShape, enumerate_partitions, partitions_of
+from taukit.partitions import Partition, enumerate_partitions, partitions_of
 from taukit.symfun import (
     PolyRing,
     PolySeries,
@@ -13,7 +13,6 @@ from taukit.symfun import (
     Times,
     cauchy_truncated,
     characters,
-    e_list,
     exp_series,
     h_list,
     inverse_series,
@@ -21,16 +20,23 @@ from taukit.symfun import (
     schur,
     schur_expansion,
     schur_from_eigenvalues,
-    skew_schur,
-    standard_product,
     _key,
     _num_den,
     _strips,
 )
 from taukit.weights import hook_product
 
-from polyseries_reference import is_even
-from schur_reference import bialternant, jacobi_trudi, jacobi_trudi_determinant, newton_lists
+from fraction_reference import pochhammer_partition
+from polyseries_reference import is_even, standard_product
+from schur_reference import (
+    bialternant,
+    contains,
+    jacobi_trudi,
+    jacobi_trudi_determinant,
+    multiplicities,
+    newton_lists,
+    skew_cells,
+)
 
 
 def sym_ring(K, cap=None):
@@ -40,6 +46,15 @@ def sym_ring(K, cap=None):
 
 def as_series(ring, x):
     return x if isinstance(x, PolySeries) else ring.const(x)
+
+
+def e_of(t, D):
+    """e_0..e_D of the times t from the engine, as s_(1^k)."""
+    return [schur(Partition([1] * k), t) for k in range(D + 1)]
+
+
+def negated(t):
+    return Times([-e for e in t.entries])
 
 
 def test_complete_h_examples():
@@ -58,40 +73,16 @@ def test_schur_examples():
     assert schur(Partition([1]), t) == t1
     assert schur(Partition([2, 1]), t) == t1**3 * F(1, 3) - t3
     # s_lambda(t(a)) = (a)_lambda / H_lambda   (weight-a specialization)
-    from taukit.weights import hook_product, pochhammer_partition
-
     a = F(5, 3)
     for lam in enumerate_partitions(6):
         got = schur(lam, Times.weight_a(a, max(lam.weight, 1)))
         assert got == pochhammer_partition(a, lam) / hook_product(lam)
 
 
-def test_skew_schur_examples():
-    ring, t = sym_ring(4)
-    hs = h_list(t, 4)
-    assert skew_schur(SkewShape(Partition([2, 2]), Partition([2, 2])), t) == 1
-    # two disconnected cells: s_(2) + s_(11) = h1^2
-    assert skew_schur(SkewShape(Partition([2, 1]), Partition([1])), t) == ring.var(0) ** 2
-    assert skew_schur(SkewShape(Partition([3]), Partition([1])), t) == hs[2]
-    # empty inner reduces to schur
-    for lam in enumerate_partitions(4):
-        assert as_series(ring, skew_schur(SkewShape(lam, Partition([])), t)) == as_series(
-            ring, schur(lam, t)
-        )
-    # the determinant vanishes whenever inner is not contained in outer
-    for lam in enumerate_partitions(4):
-        for mu in enumerate_partitions(4):
-            if lam.contains(mu):
-                continue
-            assert as_series(ring, skew_schur((lam, mu), t)).is_zero(), (lam, mu)
-
-
 def test_schur_from_eigenvalues():
     assert schur_from_eigenvalues(Partition([2]), [F(2), F(3)]) == 19
     assert schur_from_eigenvalues(Partition([1]), [F(1), F(2), F(3)]) == 6
     # (n)_lambda = H_lambda s_lambda(I_n)
-    from taukit.weights import hook_product, pochhammer_partition
-
     for lam in enumerate_partitions(5):
         for n in (2, 3):
             lhs = pochhammer_partition(F(n), lam)
@@ -128,7 +119,7 @@ def test_conjugation_rule():
     # s_{lambda'}(-t) = (-1)^{|lambda|} s_lambda(t) as a PolySeries identity
     ring, t = sym_ring(8, cap=8)
     for lam in enumerate_partitions(8):
-        lhs = as_series(ring, schur(lam.conjugate(), t.negate()))
+        lhs = as_series(ring, schur(lam.conjugate(), negated(t)))
         rhs = as_series(ring, schur(lam, t)) * F((-1) ** lam.weight)
         assert lhs == rhs, lam
 
@@ -149,9 +140,9 @@ def test_skew_product_duality():
     S = {lam: as_series(ring, schur(lam, t)) for lam in enumerate_partitions(6)}
     for lam in enumerate_partitions(6):
         for mu in enumerate_partitions(lam.weight):
-            if not lam.contains(mu):
+            if not contains(lam, mu):
                 continue
-            sk = as_series(ring, skew_schur(SkewShape(lam, mu), t))
+            sk = as_series(ring, jacobi_trudi(t, lam, mu))
             for nu in partitions_of(lam.weight - mu.weight):
                 assert standard_product(sk, S[nu]) == standard_product(
                     S[lam], S[mu] * S[nu]
@@ -219,7 +210,7 @@ def test_h_determinant_equals_e_determinant_on_conjugate(lam, values, formal):
         t = Times.of(values)
     conj = lam.conjugate()
     h_det = jacobi_trudi_determinant(h_list(t, lam.part(1) + lam.length), lam)
-    e_det = jacobi_trudi_determinant(e_list(t, conj.part(1) + conj.length), conj)
+    e_det = jacobi_trudi_determinant(e_of(t, conj.part(1) + conj.length), conj)
     assert h_det == e_det == schur(lam, t), lam
 
 
@@ -236,9 +227,9 @@ def test_cached_symmetric_lists_grow_to_fresh_ones(values, steps, formal):
     t = Times.of(entries)
     for d in steps:
         assert h_list(t, d) == h_list(Times.of(entries), d)
-        assert e_list(t, d) == e_list(Times.of(entries), d)
+        assert e_of(t, d) == e_of(Times.of(entries), d)
     # e_k(t) = (-1)^k h_k(-t)
-    assert e_list(t, D) == [h * (-1) ** k for k, h in enumerate(h_list(t.negate(), D))]
+    assert e_of(t, D) == [h * (-1) ** k for k, h in enumerate(h_list(negated(t), D))]
 
 
 @given(st.integers(min_value=1, max_value=6))
@@ -266,7 +257,7 @@ def assert_column_orthogonality(d):
     assert parts == tuple(partitions_of(d))
     for j, mu in enumerate(parts):
         z = 1
-        for m, e in mu.multiplicities().items():
+        for m, e in multiplicities(mu).items():
             z *= m**e * factorial(e)
         for k in range(len(parts)):
             dot = sum(row[j] * row[k] for row in table)
@@ -309,26 +300,13 @@ def test_engine_equals_jacobi_trudi(lam, values, kind, cap):
     assert norm(schur(lam, t)) == norm(jacobi_trudi(t, lam)), lam
 
 
-@given(partitions_to_8, st.data(), st.lists(rationals_with_zero, min_size=1, max_size=8), time_kinds,
-       st.integers(0, 8))
-@settings(max_examples=80, deadline=None)
-def test_skew_engine_equals_jacobi_trudi(lam, data, values, kind, cap):
-    inside = [mu for mu in enumerate_partitions(lam.weight) if lam.contains(mu)]
-    mu = data.draw(st.one_of(st.sampled_from(inside), partitions_to_8))
-    t, norm = times_of(kind, values, cap)
-    got = norm(skew_schur((lam, mu), t))
-    assert got == norm(jacobi_trudi(t, lam, mu)), (lam, mu)
-    if not lam.contains(mu):
-        assert got == norm(F(0)), (lam, mu)
-
-
 @given(st.lists(rationals_with_zero, min_size=1, max_size=8), time_kinds, st.integers(0, 12))
 @settings(max_examples=60, deadline=None)
 def test_h_and_e_lists_equal_newton(values, kind, D):
     t, norm = times_of(kind, values, D)
     hs, es = newton_lists(t, D)
     assert list(map(norm, h_list(t, D))) == list(map(norm, hs))
-    assert list(map(norm, e_list(t, D))) == list(map(norm, es))
+    assert list(map(norm, e_of(t, D))) == list(map(norm, es))
 
 
 @given(partitions_to_8, st.lists(rationals, min_size=1, max_size=4, unique=True))
@@ -382,9 +360,9 @@ def diagram_strips(lam, m):
     lambda/mu edge-connected and free of 2x2 squares, of sign (-1)^(rows - 1)."""
     plus, minus = [], []
     for mu in partitions_of(lam.weight - m):
-        if not lam.contains(mu):
+        if not contains(lam, mu):
             continue
-        cells = set(SkewShape(lam, mu).cells())
+        cells = set(skew_cells(lam, mu))
         if any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells for i, j in cells):
             continue
         seen, todo = set(), [next(iter(cells))]
@@ -438,10 +416,8 @@ def test_one_times_in_any_order_equals_fresh_times(order, t1, rest, kind, bound)
 
         for i, lam in enumerate(order):
             assert same(schur, lam), lam
-            if i % 5 == 0:
-                assert same(skew_schur, (lam, order[i - 1])), (lam, order[i - 1])
             if i % 7 == 0:
-                assert same_list(h_list, lam.weight) and same_list(e_list, lam.weight), lam
+                assert same_list(h_list, lam.weight) and same_list(e_of, lam.weight), lam
         if bound is not None:
             assert symfun_mod._strip_table_size == bound
             # characters() read the same table, here past its bound

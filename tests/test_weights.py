@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taukit.partitions import Partition, SkewShape, enumerate_partitions
+from taukit.partitions import Partition, enumerate_partitions
 from taukit.symfun import Times, schur
 from taukit.weights import (
     ConstantOneContent,
@@ -14,17 +14,21 @@ from taukit.weights import (
     QRationalContent,
     RationalContent,
     TabulatedContent,
-    c_constant,
     content_product,
+    det_two_side_prefactor,
     hook_product,
-    hook_product_q,
     parse_content,
+    rational_r_decomposition,
+)
+
+from fraction_reference import (
+    hook_product_q,
     pochhammer_partition,
     q_pochhammer,
     q_pochhammer_partition,
-    rational_r_decomposition,
     skew_content_product,
 )
+from schur_reference import contains
 
 LIN = LinearContent()
 ONE = ConstantOneContent()
@@ -50,11 +54,11 @@ def test_content_product_pole_names_cell():
 
 
 def test_skew_content_product():
-    assert skew_content_product(LIN, 0, SkewShape(Partition([2, 2]), Partition([2, 2]))) == 1
+    assert skew_content_product(LIN, 0, (Partition([2, 2]), Partition([2, 2]))) == 1
     # skew cells of (2,1)/(1): contents 1 and -1
-    assert skew_content_product(LIN, 3, SkewShape(Partition([2, 1]), Partition([1]))) == 4 * 2
+    assert skew_content_product(LIN, 3, (Partition([2, 1]), Partition([1]))) == 4 * 2
     lam = Partition([3, 3, 1])
-    assert skew_content_product(LIN, 4, SkewShape(lam, Partition([]))) == content_product(
+    assert skew_content_product(LIN, 4, (lam, Partition([]))) == content_product(
         LIN, 4, lam
     )
 
@@ -87,11 +91,12 @@ def test_q_pochhammer_partition_both_routes():
 
 
 def test_c_constant():
-    assert c_constant(RationalContent(a=[1]), 0) == 1
-    assert c_constant(RationalContent(a=[1]), 2) == F(1, 2)
-    assert c_constant(RationalContent(a=[3]), 3) == F(1, 27 * 16 * 5)
+    # c_n = prod_{k<n} r(k)^(k-n), the N = n + 1 case of the prefactor
+    assert det_two_side_prefactor(RationalContent(a=[1]), 0, 1) == 1
+    assert det_two_side_prefactor(RationalContent(a=[1]), 2, 3) == F(1, 2)
+    assert det_two_side_prefactor(RationalContent(a=[3]), 3, 4) == F(1, 27 * 16 * 5)
     with pytest.raises(ContentZeroError):
-        c_constant(LIN, 2)
+        det_two_side_prefactor(LIN, 2, 3)
 
 
 def test_rational_decomposition():
@@ -139,10 +144,10 @@ def test_multiplicativity_over_skew_chains():
     r = RationalContent(a=[F(1, 2)])
     for lam in enumerate_partitions(6):
         for mu in enumerate_partitions(lam.weight):
-            if lam.contains(mu):
+            if contains(lam, mu):
                 assert content_product(r, 1, lam) == content_product(
                     r, 1, mu
-                ) * skew_content_product(r, 1, SkewShape(lam, mu))
+                ) * skew_content_product(r, 1, (lam, mu))
 
 
 def zeros_on(r, lo, hi):
